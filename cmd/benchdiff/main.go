@@ -11,8 +11,9 @@
 // Metrics are classified by unit: allocs/op, B/op and ns/op are
 // lower-is-better; units containing "/sec" or "/min" (events/sec,
 // points/min) are throughput, higher-is-better. Which classes fail the
-// run is chosen with -gate (default "allocs,throughput"); ns/op is
-// always informational because wall time on shared runners is noise.
+// run is chosen with -gate (default "allocs,bytes,throughput"); ns/op is
+// informational by default because wall time on shared runners is
+// noise, while B/op, like allocs/op, is a count the runner cannot blur.
 // Significance is a two-sided Mann–Whitney U test (the same test
 // benchstat applies), so a single noisy run cannot fail the gate.
 package main
@@ -63,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	outFile := fs.String("out", "", "write this run's results JSON to this file")
 	baseline := fs.String("baseline", "", "compare against this baseline JSON; exit 1 on gated regressions")
 	candidate := fs.String("candidate", "", "compare this results JSON instead of running the benchmarks")
-	gate := fs.String("gate", "allocs,throughput", "comma-separated metric classes that fail the run: allocs, throughput, time")
+	gate := fs.String("gate", "allocs,bytes,throughput", "comma-separated metric classes that fail the run: allocs, bytes, throughput, time")
 	threshold := fs.Float64("threshold", 0.15, "relative regression beyond which a significant delta fails")
 	alpha := fs.Float64("alpha", 0.05, "significance level for the Mann-Whitney test")
 	if err := fs.Parse(args); err != nil {
@@ -206,21 +207,24 @@ func stripProcs(name string) string {
 // metric classes for gating.
 const (
 	classAllocs     = "allocs"
+	classBytes      = "bytes"
 	classThroughput = "throughput"
 	classTime       = "time"
 	classOther      = ""
 )
 
-// classify buckets a metric unit: allocs/op is its own gate class,
-// "/sec" and "/min" units are throughput (higher is better), ns/op and
-// B/op are time-like (lower is better, informational by default).
+// classify buckets a metric unit: allocs/op and B/op are gate classes
+// of their own, "/sec" and "/min" units are throughput (higher is
+// better), ns/op is time (lower is better, informational by default).
 func classify(unit string) (class string, higherBetter bool) {
 	switch {
 	case unit == "allocs/op":
 		return classAllocs, false
+	case unit == "B/op":
+		return classBytes, false
 	case strings.Contains(unit, "/sec") || strings.Contains(unit, "/min"):
 		return classThroughput, true
-	case unit == "ns/op" || unit == "B/op":
+	case unit == "ns/op":
 		return classTime, false
 	default:
 		return classOther, false

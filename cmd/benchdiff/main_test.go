@@ -68,6 +68,9 @@ func TestClassify(t *testing.T) {
 	if c, hb := classify("ns/op"); c != classTime || hb {
 		t.Errorf("ns/op -> %q %v", c, hb)
 	}
+	if c, hb := classify("B/op"); c != classBytes || hb {
+		t.Errorf("B/op -> %q %v", c, hb)
+	}
 }
 
 func mkResults(allocs, throughput []float64) Results {
@@ -131,6 +134,20 @@ func TestCompareTimeIsInformational(t *testing.T) {
 	_, regs = compare(base, cur, gateSet("time"), 0.15, 0.05)
 	if regs != 1 {
 		t.Fatalf("time gate did not fire")
+	}
+}
+
+func TestCompareGatesBytes(t *testing.T) {
+	base := Results{"BenchmarkX": {"B/op": {4.6e9, 4.6e9, 4.6e9, 4.6e9, 4.6e9}}}
+	cur := Results{"BenchmarkX": {"B/op": {9.1e9, 9.2e9, 9.1e9, 9.1e9, 9.2e9}}}
+	report, regs := compare(base, cur, gateSet("allocs,bytes,throughput"), 0.15, 0.05)
+	if regs != 1 || !strings.Contains(report, "REGRESSION") {
+		t.Fatalf("B/op doubling not gated: %d regressions\n%s", regs, report)
+	}
+	// Time stays out of the bytes class.
+	_, regs = compare(base, cur, gateSet("time"), 0.15, 0.05)
+	if regs != 0 {
+		t.Fatalf("B/op gated under the time class")
 	}
 }
 

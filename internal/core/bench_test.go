@@ -176,8 +176,8 @@ func TestPhysicsTickSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestSampleSteadyStateAllocsAmortized pins the sample round: after the
-// raw ring has filled, a round's only allocations are the amortized
-// doubling of the closed-bucket slabs — strictly less than one object
+// raw ring has filled, a round allocates only when a pyramid level's
+// ring is allocated on its first close — strictly less than one object
 // per round on average.
 func TestSampleSteadyStateAllocsAmortized(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -197,8 +197,8 @@ func TestSampleSteadyStateAllocsAmortized(t *testing.T) {
 	if err := e.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Warm until the raw ring has filled and been through compaction
-	// cycles (retention 1 h at 15 s rounds = 240 live rounds).
+	// Warm until the raw ring has filled and wrapped (retention 1 h at
+	// 15 s rounds = 241 live rounds).
 	now := e.Now()
 	for i := 0; i < 600; i++ {
 		now += 15 * time.Second

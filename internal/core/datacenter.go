@@ -150,7 +150,11 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 	dc.rebuildZoneIndex()
 	e.Register(topo)
 	if cfg.SampleEvery > 0 {
-		dc.store, err = telemetry.NewStore(telemetry.DefaultConfig())
+		// The store's raw interval is the facility's real cadence: it
+		// sizes the raw ring at one retention window of rounds.
+		tcfg := telemetry.DefaultConfig()
+		tcfg.RawInterval = cfg.SampleEvery
+		dc.store, err = telemetry.NewStore(tcfg)
 		if err != nil {
 			return nil, err
 		}

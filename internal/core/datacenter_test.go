@@ -265,3 +265,64 @@ func TestFleetReorderValidation(t *testing.T) {
 		t.Error("reorder did not permute as requested")
 	}
 }
+
+// TestFacilityTelemetryMemoryIsBounded runs a sampled facility for days
+// and checks the telemetry store stops growing: once the raw window and
+// the minute, quarter and hour rings are full, their contents at day 3
+// and day 5 are the same size, and a steady-state frame append — one
+// simulated day of rounds, rolling over every level — allocates nothing.
+func TestFacilityTelemetryMemoryIsBounded(t *testing.T) {
+	e := sim.NewEngine(1)
+	dc, err := NewDataCenter(e, smallDCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dc.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	dc.Fleet().SetTarget(8)
+	dc.Fleet().Dispatch(0, 4_000)
+	type footprint struct {
+		raw                   int64
+		minute, quarter, hour int
+	}
+	measure := func(day int) footprint {
+		t.Helper()
+		if err := e.Run(time.Duration(day) * 24 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		fp := footprint{raw: dc.Store().Stats().RawPoints}
+		for _, lv := range []struct {
+			res telemetry.Resolution
+			n   *int
+		}{{telemetry.ResMinute, &fp.minute}, {telemetry.ResQuarter, &fp.quarter}, {telemetry.ResHour, &fp.hour}} {
+			bs, err := dc.Store().Query("srv0000/power", 0, 1<<62, lv.res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*lv.n = len(bs)
+		}
+		return fp
+	}
+	day3, day5 := measure(3), measure(5)
+	if day3 != day5 {
+		t.Errorf("telemetry grew from day 3 %+v to day 5 %+v", day3, day5)
+	}
+	// The retention window at the 15 s cadence, 18 keys wide.
+	if want := int64((time.Hour/(15*time.Second) + 1) * 18); day5.raw != want {
+		t.Errorf("raw points %d, want %d", day5.raw, want)
+	}
+
+	fw := dc.Frames()
+	row := make([]float64, fw.Width())
+	at := e.Now()
+	if n := testing.AllocsPerRun(3, func() {
+		for end := at + 24*time.Hour; at < end; at += dc.SampleEvery() {
+			if err := fw.Append(at, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("steady-state frame append: %v allocs per simulated day, want 0", n)
+	}
+}

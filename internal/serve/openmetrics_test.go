@@ -102,3 +102,21 @@ func TestWriterOutputLints(t *testing.T) {
 		}
 	}
 }
+
+// TestEscapersDoNotAllocate pins the escapers to zero allocations on
+// text with nothing to escape: they run once per label value of every
+// sample of every scrape.
+func TestEscapersDoNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = escapeLabel("zone03") }); n != 0 {
+		t.Errorf("escapeLabel: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = escapeHelp("Inlet temperature per cooling zone.") }); n != 0 {
+		t.Errorf("escapeHelp: %v allocs per call, want 0", n)
+	}
+	if got, want := escapeLabel("a\\b\"c\nd"), `a\\b\"c\nd`; got != want {
+		t.Errorf("escapeLabel = %q, want %q", got, want)
+	}
+	if got, want := escapeHelp("a\\b\nc"), `a\\b\nc`; got != want {
+		t.Errorf("escapeHelp = %q, want %q", got, want)
+	}
+}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,13 +30,11 @@ type FrameWriter struct {
 	mu     sync.RWMutex
 	lastT  time.Duration
 	hasAny bool
-	// Raw band: one timestamp per retained round, values row-major
-	// (round r's values are rawV[r*K : (r+1)*K]). Retention advances
-	// rawHead in rounds; compaction amortizes the copy exactly as the
-	// per-series raw band does.
+	// Raw band: a ring of retained rounds, one timestamp per slot and
+	// values row-major (slot s's values are rawV[s*K : (s+1)*K]).
+	raw           ring
 	rawT          []time.Duration
 	rawV          []float64
-	rawHead       int
 	droppedRounds int64
 	levels        [4]frameLevel
 	// colShards partitions the column space for AppendPar, fixed at
@@ -47,7 +44,7 @@ type FrameWriter struct {
 
 // frameLevel is one aggregation level of the frame pyramid. The open
 // bucket is columnar: a shared start/count plus K-wide sum/min/max
-// columns; closing a bucket appends the columns to the closed slabs.
+// columns; closing a bucket copies the columns into the closed ring.
 type frameLevel struct {
 	width  time.Duration
 	curEnd time.Duration // exclusive end of the open bucket; 0 while empty
@@ -55,8 +52,9 @@ type frameLevel struct {
 	curSum []float64
 	curMin []float64
 	curMax []float64
-	// Closed buckets: starts/counts per bucket, value columns row-major
-	// (bucket i, key k at [i*K+k]).
+	// Closed buckets: a ring with starts/counts per slot and value
+	// columns row-major (slot s, key k at [s*K+k]).
+	closed ring
 	starts []time.Duration
 	counts []int64
 	sums   []float64
@@ -141,12 +139,12 @@ func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	n := len(w.rawT)
-	if n == 0 {
+	if w.raw.n == 0 {
 		return 0, false
 	}
-	copy(dst, w.rawV[(n-1)*k:n*k])
-	return w.rawT[n-1], true
+	s := w.raw.slot(w.raw.n - 1)
+	copy(dst, w.rawV[s*k:(s+1)*k])
+	return w.rawT[s], true
 }
 
 // Append ingests one round: values[i] is the sample for the i-th frame
@@ -161,7 +159,7 @@ func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 // state, so the sharded execution is bit-identical to the serial one for
 // any worker count — including the nil pool, which runs the shards
 // inline and IS the serial path. All boundary decisions, closed-bucket
-// slab appends, raw-band appends, and retention trimming stay on the
+// ring writes, raw-band writes, and retention trimming stay on the
 // calling goroutine; only the in-bucket column arithmetic fans out.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
 	if len(values) != len(w.keys) {
@@ -177,12 +175,11 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	}
 	w.lastT = t
 	w.hasAny = true
-	w.rawT = append(w.rawT, t)
-	w.rawV = append(w.rawV, values...)
+	w.pushRaw(t, values)
 	var inBucket [4]bool
 	anyIn := false
 	for i := range w.levels {
-		inBucket[i] = w.levels[i].foldBoundary(t, values)
+		inBucket[i] = w.levels[i].foldBoundary(t, values, w.store.cfg.LevelRows)
 		anyIn = anyIn || inBucket[i]
 	}
 	if anyIn {
@@ -194,34 +191,39 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 			w.foldLevelsPar(p, inBucket, values)
 		}
 	}
-	if ret := w.store.cfg.RawRetention; ret > 0 {
-		cutoff := t - ret
-		drop := 0
-		for w.rawHead < len(w.rawT) && w.rawT[w.rawHead] < cutoff {
-			w.rawHead++
-			drop++
-		}
-		if drop > 0 {
-			w.droppedRounds += int64(drop)
-			if w.rawHead*2 >= len(w.rawT) {
-				k := len(w.keys)
-				n := copy(w.rawT, w.rawT[w.rawHead:])
-				w.rawT = w.rawT[:n]
-				nv := copy(w.rawV, w.rawV[w.rawHead*k:])
-				w.rawV = w.rawV[:nv]
-				w.rawHead = 0
-			}
-		}
-	}
 	return nil
 }
 
+// pushRaw expires the rounds older than the retention window and writes
+// round t into the raw ring. Rounds at most RawInterval apart fit the
+// ring's first allocation; faster rounds grow it.
+func (w *FrameWriter) pushRaw(t time.Duration, values []float64) {
+	if ret := w.store.cfg.RawRetention; ret > 0 {
+		cutoff := t - ret
+		for w.raw.n > 0 && w.rawT[w.raw.slot(0)] < cutoff {
+			w.raw.pop()
+			w.droppedRounds++
+		}
+	}
+	k := len(w.keys)
+	if w.raw.full() {
+		rows := w.raw.nextRows(w.store.rawRows)
+		w.rawT = regrow(w.rawT, w.raw, 1, rows)
+		w.rawV = regrow(w.rawV, w.raw, k, rows)
+		w.raw.resize(rows)
+	}
+	s := w.raw.push()
+	w.rawT[s] = t
+	copy(w.rawV[s*k:(s+1)*k], values)
+}
+
 // foldBoundary makes the level's single per-round boundary decision and,
-// on rollover, closes the open bucket (slab appends) and seeds the new
-// one from the round's values. It reports whether the round lands in the
+// on rollover, closes the open bucket into the closed ring (keeping at
+// most limit buckets; 0 keeps all) and seeds the new one from the
+// round's values. It reports whether the round lands in the
 // already-open bucket, i.e. whether the K-wide column updates are still
 // pending (foldColumns).
-func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
+func (l *frameLevel) foldBoundary(t time.Duration, values []float64, limit int) bool {
 	if t < l.curEnd {
 		l.curCnt++
 		return true
@@ -234,11 +236,7 @@ func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
 		start = t / l.width * l.width
 	}
 	if l.curEnd != 0 {
-		l.starts = append(l.starts, l.curEnd-l.width)
-		l.counts = append(l.counts, l.curCnt)
-		l.sums = append(l.sums, l.curSum...)
-		l.mins = append(l.mins, l.curMin...)
-		l.maxs = append(l.maxs, l.curMax...)
+		l.closeBucket(limit)
 	}
 	l.curEnd = start + l.width
 	l.curCnt = 1
@@ -246,6 +244,31 @@ func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
 	copy(l.curMin, values)
 	copy(l.curMax, values)
 	return false
+}
+
+// closeBucket copies the open bucket into the closed ring, evicting the
+// oldest bucket once the ring holds limit (0: no limit). A limited ring
+// is allocated once, at full size, on its first close.
+func (l *frameLevel) closeBucket(limit int) {
+	k := len(l.curSum)
+	if limit > 0 && l.closed.n == limit {
+		l.closed.pop()
+	}
+	if l.closed.full() {
+		rows := l.closed.nextRows(limit)
+		l.starts = regrow(l.starts, l.closed, 1, rows)
+		l.counts = regrow(l.counts, l.closed, 1, rows)
+		l.sums = regrow(l.sums, l.closed, k, rows)
+		l.mins = regrow(l.mins, l.closed, k, rows)
+		l.maxs = regrow(l.maxs, l.closed, k, rows)
+		l.closed.resize(rows)
+	}
+	s := l.closed.push()
+	l.starts[s] = l.curEnd - l.width
+	l.counts[s] = l.curCnt
+	copy(l.sums[s*k:(s+1)*k], l.curSum)
+	copy(l.mins[s*k:(s+1)*k], l.curMin)
+	copy(l.maxs[s*k:(s+1)*k], l.curMax)
 }
 
 // foldLevelsPar fans foldLevels out over the column shards. Kept out of
@@ -290,9 +313,10 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	k := len(w.keys)
 	if res == ResRaw {
 		var out []Bucket
-		for r := w.rawHead; r < len(w.rawT); r++ {
-			if t := w.rawT[r]; t >= from && t < to {
-				v := w.rawV[r*k+col]
+		for i := 0; i < w.raw.n; i++ {
+			s := w.raw.slot(i)
+			if t := w.rawT[s]; t >= from && t < to {
+				v := w.rawV[s*k+col]
 				out = append(out, Bucket{Start: t, Count: 1, Sum: v, Min: v, Max: v})
 			}
 		}
@@ -303,12 +327,7 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 		return nil, err
 	}
 	l := &w.levels[li]
-	lo := sort.Search(len(l.starts), func(i int) bool {
-		return l.starts[i]+l.width > from
-	})
-	hi := sort.Search(len(l.starts), func(i int) bool {
-		return l.starts[i] >= to
-	})
+	lo, hi := l.closed.span(func(s int) time.Duration { return l.starts[s] }, l.width, from, to)
 	takeCur := l.curEnd != 0 && l.curEnd > from && l.curEnd-l.width < to
 	n := hi - lo
 	if takeCur {
@@ -316,9 +335,10 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	}
 	out := make([]Bucket, 0, n)
 	for i := lo; i < hi; i++ {
+		s := l.closed.slot(i)
 		out = append(out, Bucket{
-			Start: l.starts[i], Count: l.counts[i],
-			Sum: l.sums[i*k+col], Min: l.mins[i*k+col], Max: l.maxs[i*k+col],
+			Start: l.starts[s], Count: l.counts[s],
+			Sum: l.sums[s*k+col], Min: l.mins[s*k+col], Max: l.maxs[s*k+col],
 		})
 	}
 	if takeCur {
@@ -336,11 +356,11 @@ func (w *FrameWriter) stats(out *Stats) {
 	defer w.mu.RUnlock()
 	k := int64(len(w.keys))
 	out.Keys += len(w.keys)
-	out.RawPoints += int64(len(w.rawT)-w.rawHead) * k
+	out.RawPoints += int64(w.raw.n) * k
 	out.DroppedRaw += w.droppedRounds * k
 	for i := range w.levels {
 		l := &w.levels[i]
-		n := int64(len(l.starts))
+		n := int64(l.closed.n)
 		if l.curEnd != 0 {
 			n++
 		}

@@ -35,46 +35,59 @@ func TestAppendParMatchesAppendAcrossWorkers(t *testing.T) {
 		data[r] = row
 	}
 
-	cfg := Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}
 	type variant struct {
 		name    string
 		workers int
 	}
 	variants := []variant{{"inline", 1}, {"w2", 2}, {"w4", 4}}
-	stores := make([]*Store, len(variants))
-	for vi, v := range variants {
-		stores[vi] = mustStore(t, cfg)
-		fw, err := stores[vi].Frames(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := par.New(v.workers)
-		for r := 0; r < rounds; r++ {
-			now := time.Duration(r) * time.Minute
-			if err := fw.AppendPar(now, data[r], pool); err != nil {
-				t.Fatalf("%s: round %d: %v", v.name, r, err)
-			}
-		}
-		pool.Close()
-	}
-
-	// Columns straddling every shard seam plus the edges; every
-	// resolution; exact bucket equality (Bucket is comparable).
-	cols := []int{0, 1, 511, 512, 513, 1023, 1024, 1500, width - 1}
-	horizon := time.Duration(rounds) * time.Minute
-	for _, c := range cols {
-		for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
-			want, err := stores[0].Query(keys[c], 0, horizon, res)
+	cases := []struct {
+		cfg  Config
+		step time.Duration
+	}{{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}, time.Minute}}
+	cases = append(cases, boundedCases...)
+	for _, tc := range cases {
+		stores := make([]*Store, len(variants))
+		for vi, v := range variants {
+			stores[vi] = mustStore(t, tc.cfg)
+			fw, err := stores[vi].Frames(keys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for vi := 1; vi < len(variants); vi++ {
-				got, err := stores[vi].Query(keys[c], 0, horizon, res)
-				if err != nil {
-					t.Fatal(err)
+			pool := par.New(v.workers)
+			for r := 0; r < rounds; r++ {
+				now := time.Duration(r) * tc.step
+				if err := fw.AppendPar(now, data[r], pool); err != nil {
+					t.Fatalf("%s: round %d: %v", v.name, r, err)
 				}
-				requireSameBuckets(t, got, want,
-					fmt.Sprintf("%s col %d res %v", variants[vi].name, c, res))
+			}
+			pool.Close()
+		}
+
+		// Columns straddling every shard seam plus the edges; every
+		// resolution; ranges across the rings' wrap points; exact bucket
+		// equality (Bucket is comparable) and equal storage accounting.
+		cols := []int{0, 1, 511, 512, 513, 1023, 1024, 1500, width - 1}
+		for _, c := range cols {
+			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
+				for _, span := range wrapSpans(rounds * tc.step) {
+					want, err := stores[0].Query(keys[c], span[0], span[1], res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for vi := 1; vi < len(variants); vi++ {
+						got, err := stores[vi].Query(keys[c], span[0], span[1], res)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameBuckets(t, got, want,
+							fmt.Sprintf("rows=%d %s col %d res %v [%v,%v)", tc.cfg.LevelRows, variants[vi].name, c, res, span[0], span[1]))
+					}
+				}
+			}
+		}
+		for vi := 1; vi < len(variants); vi++ {
+			if got, want := stores[vi].Stats(), stores[0].Stats(); got != want {
+				t.Errorf("rows=%d %s: stats %+v, inline %+v", tc.cfg.LevelRows, variants[vi].name, got, want)
 			}
 		}
 	}

@@ -50,22 +50,54 @@ func requireSameBuckets(t *testing.T, got, want []Bucket, ctx string) {
 	}
 }
 
+// boundedCases are ingest shapes whose level rings hold fewer buckets
+// than the run closes. At one-minute rounds the minute and quarter rings
+// wrap many times; at 15-minute rounds with two rows every level wraps,
+// the day level included, and the raw ring is exactly one window wide.
+var boundedCases = []struct {
+	cfg  Config
+	step time.Duration
+}{
+	{Config{RawInterval: time.Minute, RawRetention: time.Hour, LevelRows: 16, Shards: 4}, time.Minute},
+	{Config{RawInterval: 15 * time.Minute, RawRetention: 6 * time.Hour, LevelRows: 2, Shards: 4}, 15 * time.Minute},
+}
+
+// wrapSpans are query ranges for a run of the given horizon: the whole
+// run, fixed early windows, and windows near the end that start inside
+// a wrapped ring's retained rows and so straddle its wrap point.
+func wrapSpans(horizon time.Duration) [][2]time.Duration {
+	return [][2]time.Duration{
+		{0, 1 << 62},
+		{40 * time.Minute, 3 * time.Hour},
+		{90 * time.Minute, 91 * time.Minute},
+		{horizon - 20*time.Minute, horizon - 7*time.Minute},
+		{horizon - 3*time.Hour, horizon - 50*time.Minute},
+		{horizon - 50*time.Hour, horizon - 20*time.Hour},
+	}
+}
+
 // TestFramesMatchPerPointIngest is the core contract: a framed key is
 // indistinguishable from the same values appended point by point — at
 // every resolution, over full and partial ranges, and in the storage
-// accounting.
+// accounting — with unbounded and with wrapping rings.
 func TestFramesMatchPerPointIngest(t *testing.T) {
+	const rounds = 300
 	keys := []string{"a/power", "a/util", "b/power", "b/util", "inlet"}
-	for _, cfg := range []Config{noRetention(), {RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}} {
-		framed, plain := frameEquivalentStores(t, cfg, keys, 300, time.Minute)
+	cases := []struct {
+		cfg  Config
+		step time.Duration
+	}{
+		{noRetention(), time.Minute},
+		{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}, time.Minute},
+	}
+	cases = append(cases, boundedCases...)
+	for _, c := range cases {
+		cfg := c.cfg
+		framed, plain := frameEquivalentStores(t, cfg, keys, rounds, c.step)
 		for _, key := range keys {
 			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
-				for _, span := range [][2]time.Duration{
-					{0, 1 << 62},
-					{40 * time.Minute, 3 * time.Hour},
-					{90 * time.Minute, 91 * time.Minute},
-				} {
-					ctx := fmt.Sprintf("retention=%v %s %v [%v,%v)", cfg.RawRetention, key, res, span[0], span[1])
+				for _, span := range wrapSpans(rounds * c.step) {
+					ctx := fmt.Sprintf("retention=%v rows=%d %s %v [%v,%v)", cfg.RawRetention, cfg.LevelRows, key, res, span[0], span[1])
 					got, err := framed.Query(key, span[0], span[1], res)
 					if err != nil {
 						t.Fatal(ctx, err)
@@ -79,7 +111,7 @@ func TestFramesMatchPerPointIngest(t *testing.T) {
 			}
 		}
 		if got, want := framed.Stats(), plain.Stats(); got != want {
-			t.Errorf("retention=%v: frame stats %+v, plain stats %+v", cfg.RawRetention, got, want)
+			t.Errorf("retention=%v rows=%d: frame stats %+v, plain stats %+v", cfg.RawRetention, cfg.LevelRows, got, want)
 		}
 		gotKeys, wantKeys := framed.Keys(), plain.Keys()
 		if len(gotKeys) != len(wantKeys) {
@@ -88,6 +120,38 @@ func TestFramesMatchPerPointIngest(t *testing.T) {
 		for i := range gotKeys {
 			if gotKeys[i] != wantKeys[i] {
 				t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
+			}
+		}
+	}
+}
+
+// TestBoundedLevelsKeepNewestBuckets checks the rings against unbounded
+// storage of the same rounds: each level returns exactly the newest
+// LevelRows closed buckets plus the open one, in time order across the
+// wrap, and the raw band is untouched by the level limit.
+func TestBoundedLevelsKeepNewestBuckets(t *testing.T) {
+	const rounds = 300
+	keys := []string{"x", "y"}
+	for _, c := range boundedCases {
+		framed, _ := frameEquivalentStores(t, c.cfg, keys, rounds, c.step)
+		all := c.cfg
+		all.LevelRows = 0
+		full, _ := frameEquivalentStores(t, all, keys, rounds, c.step)
+		for _, key := range keys {
+			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
+				ctx := fmt.Sprintf("rows=%d %s %v", c.cfg.LevelRows, key, res)
+				got, err := framed.Query(key, 0, 1<<62, res)
+				if err != nil {
+					t.Fatal(ctx, err)
+				}
+				want, err := full.Query(key, 0, 1<<62, res)
+				if err != nil {
+					t.Fatal(ctx, err)
+				}
+				if keep := c.cfg.LevelRows + 1; res != ResRaw && len(want) > keep {
+					want = want[len(want)-keep:]
+				}
+				requireSameBuckets(t, got, want, ctx)
 			}
 		}
 	}
@@ -235,5 +299,51 @@ func TestBatchRejectsForeignAppender(t *testing.T) {
 	defer b.End()
 	if err := b.Append(a, 0, 1); err == nil {
 		t.Error("appender from another store should be rejected")
+	}
+}
+
+// TestRawRingGrowsAcrossWrap feeds rounds faster than RawInterval after
+// the raw ring has wrapped, so the ring must grow with its oldest row
+// mid-buffer; framed and per-point keys must still return exactly the
+// retention window, oldest first.
+func TestRawRingGrowsAcrossWrap(t *testing.T) {
+	const retention = 10 * time.Minute
+	cfg := Config{RawInterval: time.Minute, RawRetention: retention, Shards: 2}
+	framed, plain := mustStore(t, cfg), mustStore(t, cfg)
+	fw, err := framed.Frames([]string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []time.Duration
+	for i := 0; i < 30; i++ {
+		times = append(times, time.Duration(i)*time.Minute)
+	}
+	for i := 1; i <= 40; i++ {
+		times = append(times, 29*time.Minute+time.Duration(i)*15*time.Second)
+	}
+	for i, at := range times {
+		if err := fw.Append(at, []float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Append("k", at, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := times[len(times)-1]
+	var want []Bucket
+	for i, at := range times {
+		if at >= last-retention {
+			want = append(want, Bucket{Start: at, Count: 1, Sum: float64(i), Min: float64(i), Max: float64(i)})
+		}
+	}
+	for name, s := range map[string]*Store{"framed": framed, "plain": plain} {
+		got, err := s.Query("k", 0, 1<<62, ResRaw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBuckets(t, got, want, name)
+		if st := s.Stats(); st.RawPoints != int64(len(want)) || st.DroppedRaw != int64(len(times)-len(want)) {
+			t.Errorf("%s: stats %+v, want %d raw and %d dropped", name, st, len(want), len(times)-len(want))
+		}
 	}
 }

@@ -6,7 +6,23 @@
 // data into multiple scales can speed up the query significantly. At the
 // same time, raw data out of these bands can be considered as noise and
 // be eliminated" — is implemented here as a streaming multi-resolution
-// aggregation pyramid with raw-band retention.
+// aggregation pyramid (minute, quarter-hour, hour and day buckets) over
+// a raw band.
+//
+// # Bounded retention
+//
+// Every band of the pyramid is a fixed-capacity ring, so a store's
+// memory is set by its configuration and key count, not by how long it
+// runs. The raw band keeps the samples of the last RawRetention,
+// RawRetention/RawInterval + 1 of them at the configured cadence; each
+// aggregate level keeps its open bucket plus the newest LevelRows closed
+// ones. A frame of K keys therefore holds at most about
+// K × 8 B × (raw rounds + 3 × 4 × LevelRows): one value per raw round,
+// and sum, min and max for each of the four levels. A band's ring is
+// allocated in full on its first write, never at construction, so a
+// level that never closes a bucket costs nothing. Framed and per-point
+// keys share the one ring mechanism and the same retention, and queries
+// return buckets in time order across the ring's wrap.
 //
 // # Concurrency contract
 //
@@ -129,11 +145,15 @@ type level struct {
 	// either in cur or in a new bucket past it; the cached end turns the
 	// common tail hit into one comparison, no division.
 	curEnd time.Duration
-	cur    Bucket   // open tail bucket; empty iff curEnd == 0
-	done   []Bucket // closed buckets, dense, in time order
+	cur    Bucket // open tail bucket; empty iff curEnd == 0
+	// Closed buckets: a ring over done, oldest first across the wrap.
+	closed ring
+	done   []Bucket
 }
 
-func (l *level) fold(t time.Duration, v float64) {
+// fold adds one sample, closing the open bucket into the ring (which
+// keeps at most limit buckets; 0 keeps all) when t passes its end.
+func (l *level) fold(t time.Duration, v float64, limit int) {
 	if t < l.curEnd {
 		l.cur.Count++
 		l.cur.Sum += v
@@ -154,7 +174,15 @@ func (l *level) fold(t time.Duration, v float64) {
 		start = t / l.width * l.width
 	}
 	if l.curEnd != 0 {
-		l.done = append(l.done, l.cur)
+		if limit > 0 && l.closed.n == limit {
+			l.closed.pop()
+		}
+		if l.closed.full() {
+			rows := l.closed.nextRows(limit)
+			l.done = regrow(l.done, l.closed, 1, rows)
+			l.closed.resize(rows)
+		}
+		l.done[l.closed.push()] = l.cur
 	}
 	l.curEnd = start + l.width
 	l.cur = Bucket{Start: start, Count: 1, Sum: v, Min: v, Max: v}
@@ -165,49 +193,41 @@ func (l *level) open() bool { return l.curEnd != 0 }
 
 // series is the pyramid for one key.
 type series struct {
-	// raw[rawHead:] is the retained raw band. Retention advances rawHead
-	// instead of recopying the slice per drop; compact() reclaims the
-	// dead prefix once it reaches half the slice, so trimming is
-	// amortized O(1) per append instead of O(window).
-	raw     []point
-	rawHead int
-	levels  [4]level // minute, quarter, hour, day — inline for locality
-	lastT   time.Duration
-	hasAny  bool
+	// The retained raw band: a ring over points.
+	raw    ring
+	points []point
+	levels [4]level // minute, quarter, hour, day — inline for locality
+	lastT  time.Duration
+	hasAny bool
 	// dropped counts raw points discarded by band retention.
 	dropped int64
 }
 
-// retained returns the live raw band.
-func (ser *series) retained() []point { return ser.raw[ser.rawHead:] }
-
-// compact slides the live band to the front when the dead prefix
-// dominates, bounding memory at ~2× the retained window.
-func (ser *series) compact() {
-	if ser.rawHead > 0 && ser.rawHead*2 >= len(ser.raw) {
-		n := copy(ser.raw, ser.raw[ser.rawHead:])
-		ser.raw = ser.raw[:n]
-		ser.rawHead = 0
-	}
-}
-
 // Config configures a Store.
 type Config struct {
-	// RawInterval is the base sampling period (the paper uses 15 s).
+	// RawInterval is the base sampling period (the paper uses 15 s). It
+	// sizes the raw ring: RawRetention/RawInterval + 1 samples, allocated
+	// on a key's first sample. Samples that arrive faster grow the ring.
 	RawInterval time.Duration
 	// RawRetention bounds how long raw points are kept; zero keeps
-	// everything. Aggregates are kept forever (they are the "bands" of
-	// interest; rawer data "can be considered as noise and be
-	// eliminated").
+	// everything.
 	RawRetention time.Duration
+	// LevelRows is the number of closed buckets each aggregate level
+	// keeps, oldest evicted first; zero keeps every bucket. The levels
+	// are the "bands" of interest, and their history is bounded the same
+	// way the raw band is: data outside the bands "can be considered as
+	// noise and be eliminated".
+	LevelRows int
 	// Shards is the number of lock shards for concurrent ingestion.
 	Shards int
 }
 
 // DefaultConfig matches the paper's scenario: 15-second samples, one hour
-// of raw retention, enough shards for a many-core collector.
+// of raw retention, enough shards for a many-core collector, and 60
+// closed buckets per level — an hour of minutes, 15 hours of quarters,
+// 60 hours of hours and 60 days.
 func DefaultConfig() Config {
-	return Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 32}
+	return Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, LevelRows: 60, Shards: 32}
 }
 
 // Validate checks the configuration.
@@ -218,6 +238,9 @@ func (c Config) Validate() error {
 	if c.RawRetention < 0 {
 		return fmt.Errorf("telemetry: raw retention %v must be non-negative", c.RawRetention)
 	}
+	if c.LevelRows < 0 {
+		return fmt.Errorf("telemetry: level rows %d must be non-negative", c.LevelRows)
+	}
 	if c.Shards <= 0 {
 		return fmt.Errorf("telemetry: shards %d must be positive", c.Shards)
 	}
@@ -227,8 +250,11 @@ func (c Config) Validate() error {
 // Store is a sharded multi-resolution time-series store, safe for
 // concurrent appends and queries.
 type Store struct {
-	cfg    Config
-	shards []*shard
+	cfg Config
+	// rawRows sizes each raw ring's first allocation: the samples one
+	// retention window holds at RawInterval (0 with no retention).
+	rawRows int
+	shards  []*shard
 	// Frame registry (see Frames). framesMu is always acquired before
 	// any shard lock; the per-point hot paths (Appender.Append,
 	// Batch.Append) never touch it.
@@ -248,6 +274,9 @@ func NewStore(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards), frames: make(map[string]frameRef)}
+	if cfg.RawRetention > 0 {
+		s.rawRows = int(cfg.RawRetention/cfg.RawInterval) + 1
+	}
 	for i := range s.shards {
 		s.shards[i] = &shard{series: make(map[string]*series)}
 	}
@@ -310,25 +339,25 @@ func (s *Store) appendLocked(key string, ser *series, t time.Duration, v float64
 	}
 	ser.lastT = t
 	ser.hasAny = true
-	ser.raw = append(ser.raw, point{t: t, v: v})
 	for i := range ser.levels {
-		ser.levels[i].fold(t, v)
+		ser.levels[i].fold(t, v, s.cfg.LevelRows)
 	}
-	// Band retention: drop raw samples older than the window by advancing
-	// the head index (timestamps are non-decreasing, so expiry is always
-	// a prefix); compaction amortizes the copy.
-	if s.cfg.RawRetention > 0 {
-		cutoff := t - s.cfg.RawRetention
-		drop := 0
-		for ser.rawHead < len(ser.raw) && ser.raw[ser.rawHead].t < cutoff {
-			ser.rawHead++
-			drop++
-		}
-		if drop > 0 {
-			ser.dropped += int64(drop)
-			ser.compact()
+	// Band retention: expire raw samples older than the window from the
+	// ring's oldest end (timestamps are non-decreasing, so expiry is
+	// always a prefix), then write the new one.
+	if ret := s.cfg.RawRetention; ret > 0 {
+		cutoff := t - ret
+		for ser.raw.n > 0 && ser.points[ser.raw.slot(0)].t < cutoff {
+			ser.raw.pop()
+			ser.dropped++
 		}
 	}
+	if ser.raw.full() {
+		rows := ser.raw.nextRows(s.rawRows)
+		ser.points = regrow(ser.points, ser.raw, 1, rows)
+		ser.raw.resize(rows)
+	}
+	ser.points[ser.raw.push()] = point{t: t, v: v}
 	return nil
 }
 
@@ -451,11 +480,11 @@ func (s *Store) Stats() Stats {
 		sh.mu.RLock()
 		for _, ser := range sh.series {
 			out.Keys++
-			out.RawPoints += int64(len(ser.retained()))
+			out.RawPoints += int64(ser.raw.n)
 			out.DroppedRaw += ser.dropped
 			for i := range ser.levels {
 				l := &ser.levels[i]
-				out.AggBuckets += int64(len(l.done))
+				out.AggBuckets += int64(l.closed.n)
 				if l.open() {
 					out.AggBuckets++
 				}
@@ -502,8 +531,8 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 	defer sh.mu.RUnlock()
 	if res == ResRaw {
 		var out []Bucket
-		for _, p := range ser.retained() {
-			if p.t >= from && p.t < to {
+		for i := 0; i < ser.raw.n; i++ {
+			if p := ser.points[ser.raw.slot(i)]; p.t >= from && p.t < to {
 				out = append(out, Bucket{Start: p.t, Count: 1, Sum: p.v, Min: p.v, Max: p.v})
 			}
 		}
@@ -514,21 +543,18 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 		return nil, err
 	}
 	lv := &ser.levels[li]
-	// Binary search the dense, sorted closed buckets, then splice in the
-	// open tail bucket if it overlaps the range.
-	lo := sort.Search(len(lv.done), func(i int) bool {
-		return lv.done[i].Start+lv.width > from
-	})
-	hi := sort.Search(len(lv.done), func(i int) bool {
-		return lv.done[i].Start >= to
-	})
+	// Binary search the closed ring, then splice in the open tail bucket
+	// if it overlaps the range.
+	lo, hi := lv.closed.span(func(s int) time.Duration { return lv.done[s].Start }, lv.width, from, to)
 	takeCur := lv.open() && lv.curEnd > from && lv.cur.Start < to
 	n := hi - lo
 	if takeCur {
 		n++
 	}
 	out := make([]Bucket, n)
-	copy(out, lv.done[lo:hi])
+	for i := lo; i < hi; i++ {
+		out[i-lo] = lv.done[lv.closed.slot(i)]
+	}
 	if takeCur {
 		out[n-1] = lv.cur
 	}

@@ -31,6 +31,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewStore(Config{RawInterval: time.Second, Shards: 0}); err == nil {
 		t.Error("zero shards should error")
 	}
+	if _, err := NewStore(Config{RawInterval: time.Second, LevelRows: -1, Shards: 1}); err == nil {
+		t.Error("negative level rows should error")
+	}
 	if _, err := NewStore(DefaultConfig()); err != nil {
 		t.Error("default config rejected")
 	}
@@ -465,11 +468,11 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	if st.DroppedRaw != n-(window+1) {
 		t.Fatalf("dropped %d, want %d", st.DroppedRaw, n-(window+1))
 	}
-	// The backing slice must stay bounded near the window size, not grow
-	// with total appends: compaction keeps the dead prefix under half.
+	// The backing ring is sized once to the window at RawInterval and
+	// never grows with total appends.
 	ser := s.shardFor("k").series["k"]
-	if got := len(ser.raw); got > 3*window {
-		t.Fatalf("backing slice holds %d points for a %d-point window", got, window)
+	if got := len(ser.points); got != window+1 {
+		t.Fatalf("backing ring holds %d points for a %d-point window", got, window+1)
 	}
 	// And the retained view matches what Query sees.
 	bs, err := s.Query("k", 0, 1<<62, ResRaw)
