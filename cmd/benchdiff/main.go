@@ -16,6 +16,10 @@
 // noise, while B/op, like allocs/op, is a count the runner cannot blur.
 // Significance is a two-sided Mann–Whitney U test (the same test
 // benchstat applies), so a single noisy run cannot fail the gate.
+//
+// A written file records the GOMAXPROCS and NumCPU it was measured
+// with. A comparison prints both files' counts first and warns when they
+// differ or are unknown; the warning never fails the run.
 package main
 
 import (
@@ -39,12 +43,54 @@ import (
 // run).
 type Results map[string]map[string][]float64
 
-// File is the JSON document benchdiff reads and writes.
+// File is the JSON document benchdiff reads and writes. GOMAXPROCS and
+// NumCPU record the width of the machine that ran the benchmarks; files
+// written before they existed leave them zero (unknown).
 type File struct {
 	GoVersion  string  `json:"go_version,omitempty"`
 	Benchtime  string  `json:"benchtime,omitempty"`
 	Count      int     `json:"count,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	NumCPU     int     `json:"num_cpu,omitempty"`
 	Benchmarks Results `json:"benchmarks"`
+}
+
+// newFile stamps results measured by this process with the toolchain,
+// run settings, and core counts they were measured under.
+func newFile(res Results, benchtime string, count int) File {
+	return File{
+		GoVersion:  runtime.Version(),
+		Benchtime:  benchtime,
+		Count:      count,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Benchmarks: res,
+	}
+}
+
+// cores describes the file's machine width.
+func (f File) cores() string {
+	n := func(v int) string {
+		if v == 0 {
+			return "unknown"
+		}
+		return strconv.Itoa(v)
+	}
+	return fmt.Sprintf("GOMAXPROCS=%s NumCPU=%s", n(f.GOMAXPROCS), n(f.NumCPU))
+}
+
+// coreReport prints both files' core counts and warns when they differ
+// or are unknown: throughput and wall time scale with the core count,
+// so such a comparison measures the machines as much as the code.
+func coreReport(base, cur File) string {
+	report := fmt.Sprintf("cores: baseline %s, candidate %s\n", base.cores(), cur.cores())
+	switch {
+	case base.GOMAXPROCS == 0 || base.NumCPU == 0 || cur.GOMAXPROCS == 0 || cur.NumCPU == 0:
+		report += "warning: core count unknown for at least one side; throughput and time deltas may reflect the machine, not the code\n"
+	case base.GOMAXPROCS != cur.GOMAXPROCS || base.NumCPU != cur.NumCPU:
+		report += "warning: core counts differ; throughput and time deltas may reflect the machine, not the code\n"
+	}
+	return report
 }
 
 func main() {
@@ -71,34 +117,33 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var cur Results
-	var err error
+	var cur File
 	if *candidate != "" {
 		f, err := loadFile(*candidate)
 		if err != nil {
 			return err
 		}
-		cur = f.Benchmarks
+		cur = f
 	} else {
-		cur, err = runBenchmarks(out, *bench, *packages, *benchtime, *count, *short)
+		res, err := runBenchmarks(out, *bench, *packages, *benchtime, *count, *short)
 		if err != nil {
 			return err
 		}
+		cur = newFile(res, *benchtime, *count)
 	}
-	if len(cur) == 0 {
+	if len(cur.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark results collected")
 	}
 
 	if *outFile != "" {
-		doc := File{GoVersion: runtime.Version(), Benchtime: *benchtime, Count: *count, Benchmarks: cur}
-		data, err := json.MarshalIndent(doc, "", "  ")
+		data, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*outFile, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s (%d benchmarks)\n", *outFile, len(cur))
+		fmt.Fprintf(out, "wrote %s (%d benchmarks)\n", *outFile, len(cur.Benchmarks))
 	}
 
 	if *baseline != "" {
@@ -106,7 +151,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		report, regressions := compare(base.Benchmarks, cur, gateSet(*gate), *threshold, *alpha)
+		fmt.Fprint(out, coreReport(base, cur))
+		report, regressions := compare(base.Benchmarks, cur.Benchmarks, gateSet(*gate), *threshold, *alpha)
 		fmt.Fprint(out, report)
 		if regressions > 0 {
 			return fmt.Errorf("%d gated benchmark regression(s) vs %s", regressions, *baseline)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -202,5 +203,80 @@ func TestRunWritesOut(t *testing.T) {
 	}
 	if len(f.Benchmarks) != 1 {
 		t.Errorf("round-tripped %d benchmarks", len(f.Benchmarks))
+	}
+}
+
+func TestNewFileRecordsCores(t *testing.T) {
+	f := newFile(mkResults([]float64{1}, []float64{2}), "1x", 5)
+	if f.GOMAXPROCS != runtime.GOMAXPROCS(0) || f.NumCPU != runtime.NumCPU() {
+		t.Errorf("cores = %d/%d, want %d/%d", f.GOMAXPROCS, f.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"gomaxprocs":`) || !strings.Contains(string(data), `"num_cpu":`) {
+		t.Errorf("core counts not serialized: %s", data)
+	}
+	// Files from before the fields existed omit them rather than
+	// claiming zero cores.
+	data, _ = json.Marshal(File{Benchmarks: f.Benchmarks})
+	if strings.Contains(string(data), "gomaxprocs") || strings.Contains(string(data), "num_cpu") {
+		t.Errorf("unknown core counts serialized: %s", data)
+	}
+}
+
+func TestCompareReportsCores(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, f File) string {
+		p := filepath.Join(dir, name)
+		f.Benchmarks = mkResults([]float64{100, 100, 100, 100, 100}, []float64{1000, 1000, 1000, 1000, 1000})
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	two := write("two.json", File{GOMAXPROCS: 2, NumCPU: 2})
+	twoAgain := write("two-again.json", File{GOMAXPROCS: 2, NumCPU: 2})
+	eight := write("eight.json", File{GOMAXPROCS: 8, NumCPU: 8})
+	unknown := write("unknown.json", File{})
+	for _, tc := range []struct {
+		base, cand string
+		line, warn string
+	}{
+		{two, twoAgain, "cores: baseline GOMAXPROCS=2 NumCPU=2, candidate GOMAXPROCS=2 NumCPU=2", ""},
+		{two, eight, "cores: baseline GOMAXPROCS=2 NumCPU=2, candidate GOMAXPROCS=8 NumCPU=8", "core counts differ"},
+		{unknown, two, "cores: baseline GOMAXPROCS=unknown NumCPU=unknown, candidate GOMAXPROCS=2 NumCPU=2", "core count unknown"},
+	} {
+		var out strings.Builder
+		if err := run([]string{"-baseline", tc.base, "-candidate", tc.cand}, &out); err != nil {
+			t.Fatalf("compare failed: %v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), tc.line+"\n") {
+			t.Errorf("missing %q:\n%s", tc.line, out.String())
+		}
+		warned := strings.Contains(out.String(), "warning:")
+		if tc.warn == "" && warned {
+			t.Errorf("equal core counts warned:\n%s", out.String())
+		}
+		if tc.warn != "" && !strings.Contains(out.String(), "warning: "+tc.warn) {
+			t.Errorf("missing warning %q:\n%s", tc.warn, out.String())
+		}
+	}
+	// Copying a candidate keeps the core counts it was measured with.
+	outPath := filepath.Join(dir, "copy.json")
+	if err := run([]string{"-candidate", eight, "-out", outPath}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := loadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.GOMAXPROCS != 8 || f.NumCPU != 8 {
+		t.Errorf("copied core counts %d/%d, want 8/8", f.GOMAXPROCS, f.NumCPU)
 	}
 }

@@ -115,8 +115,7 @@ type options struct {
 
 // validate collects every flag violation into one error, so a user with
 // three bad flags fixes all three after one run instead of playing
-// whack-a-mole. (This replaces the old early-return checks, which
-// reported only the first problem — and skipped -speedup entirely.)
+// whack-a-mole.
 func (o options) validate() error {
 	var problems []string
 	bad := func(format string, args ...any) {
@@ -143,8 +142,8 @@ func (o options) validate() error {
 	if o.minFrac >= o.maxFrac {
 		bad("-min-load %v must be below -max-load %v", o.minFrac, o.maxFrac)
 	}
-	if o.speedup <= 0 {
-		bad("-speedup %v must be positive", o.speedup)
+	if err := (serve.Options{Speedup: o.speedup}).Validate(); err != nil {
+		bad("-speedup %v: %v", o.speedup, err)
 	}
 	if _, enabled, err := parseRetry(o.retryStr); err != nil {
 		bad("-retry: %v", err)
@@ -300,7 +299,17 @@ func run(args []string, stdout io.Writer) error {
 
 	horizon := time.Duration(o.days) * 24 * time.Hour
 	if o.serveMode {
-		return runServe(e, mgr, dc, o, horizon, stdout)
+		srv, err := serve.NewServer(serve.Source{Engine: e, Fleet: mgr.Fleet(), Manager: mgr, DC: dc},
+			serve.Options{Speedup: o.speedup, Horizon: horizon, Carbon: o.carbonModel()})
+		if err != nil {
+			return err
+		}
+		desc := fmt.Sprintf("mode=%s fleet=%d speedup=%gx horizon=%s", o.modeStr, o.fleet, o.speedup, horizon)
+		return serveLive(srv, o.listen, desc, stdout, func() (float64, string) {
+			snap := srv.Snapshot()
+			return snap.SimTimeSeconds, fmt.Sprintf("%d events, %.2f kWh, %.0f gCO2e",
+				snap.EventsProcessed, snap.EnergyJoules/3.6e6, snap.Carbon.GramsTotal)
+		})
 	}
 
 	var pueSum float64
@@ -361,26 +370,25 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runServe paces the assembled simulation against the wall clock and
-// serves it over HTTP until the horizon is reached or the process gets
-// SIGINT/SIGTERM.
-func runServe(e *sim.Engine, mgr *core.Manager, dc *core.DataCenter, o options, horizon time.Duration, stdout io.Writer) error {
-	src := serve.Source{Engine: e, Fleet: mgr.Fleet(), Manager: mgr, DC: dc}
-	srv, err := serve.NewServer(src, serve.Options{
-		Speedup: o.speedup,
-		Horizon: horizon,
-		Carbon:  o.carbonModel(),
-	})
-	if err != nil {
-		return err
-	}
+// liveServer is what serveLive drives; serve.Server and
+// serve.GeoServer both provide it.
+type liveServer interface {
+	Handler() http.Handler
+	Run(ctx context.Context) error
+	Shutdown()
+}
 
-	ln, err := net.Listen("tcp", o.listen)
+// serveLive listens, prints the start line with the bound address and
+// desc, and paces srv against the wall clock until its horizon is
+// reached or the process gets SIGINT/SIGTERM. It then drains the
+// streams and the HTTP server and prints the stop line with the sim
+// time and summary that stopped reports.
+func serveLive(srv liveServer, listen, desc string, stdout io.Writer, stopped func() (simSeconds float64, summary string)) error {
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "dcsim: serving on http://%s (mode=%s fleet=%d speedup=%gx horizon=%s)\n",
-		ln.Addr(), o.modeStr, o.fleet, o.speedup, horizon)
+	fmt.Fprintf(stdout, "dcsim: serving on http://%s (%s)\n", ln.Addr(), desc)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -409,10 +417,9 @@ func runServe(e *sim.Engine, mgr *core.Manager, dc *core.DataCenter, o options, 
 	if paceErr != nil && !errors.Is(paceErr, context.Canceled) {
 		return paceErr
 	}
-	snap := srv.Snapshot()
-	fmt.Fprintf(stdout, "dcsim: stopped at sim time %s (%d events, %.2f kWh, %.0f gCO2e)\n",
-		time.Duration(snap.SimTimeSeconds*float64(time.Second)).Round(time.Second),
-		snap.EventsProcessed, snap.EnergyJoules/3.6e6, snap.Carbon.GramsTotal)
+	simSeconds, summary := stopped()
+	fmt.Fprintf(stdout, "dcsim: stopped at sim time %s (%s)\n",
+		time.Duration(simSeconds*float64(time.Second)).Round(time.Second), summary)
 	return nil
 }
 

@@ -94,6 +94,9 @@ func TestRunValidation(t *testing.T) {
 		{"-max-load", "1.5"},
 		{"-speedup", "0"},
 		{"-speedup", "-2"},
+		{"-speedup", "NaN"},
+		{"-speedup", "+Inf"},
+		{"-speedup", "2e11"},
 		{"-sla", "0"},
 		{"-carbon", "-10"},
 		{"-carbon-swing", "1.5"},
@@ -117,6 +120,19 @@ func TestRunGeoSites(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("geo output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestSpeedupValidation pins the bugfix: NaN compares false against any
+// bound, and an infinite or huge speedup wraps the pacer's step
+// Duration, so all three used to pass validation and stall a served
+// run. Each must be named in the aggregated error.
+func TestSpeedupValidation(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "2e11"} {
+		err := run([]string{"-speedup", v, "-fleet", "0"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-speedup") || !strings.Contains(err.Error(), "-fleet 0") {
+			t.Errorf("-speedup %s: error %v, want one naming -speedup and -fleet", v, err)
 		}
 	}
 }

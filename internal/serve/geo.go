@@ -2,12 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -51,28 +46,15 @@ type GeoSnapshot struct {
 	Sites []GeoSiteSnapshot `json:"sites"`
 }
 
-// GeoServer paces a geo.Federation and serves its merged state over
-// HTTP: one OpenMetrics exposition with a site label on every per-site
-// family, a JSON snapshot with per-site sections, and an SSE stream.
-// It mirrors Server's concurrency discipline — the pacer advances the
-// federation under the write lock, handlers copy a snapshot out under
-// the read lock and render outside it — which is safe because site
-// state only mutates inside Federation.AdvanceTo, even in parallel
-// mode.
+// GeoServer paces a geo.Federation on the same pacer as Server and
+// serves its merged state over the same endpoints: one OpenMetrics
+// exposition with a site label on every per-site family, a JSON snapshot
+// with per-site sections, and an SSE stream of those snapshots. It
+// differs from Server only in what it steps and reports: a zero Horizon
+// defaults to the federation's own, and carbon is evaluated per site.
 type GeoServer struct {
-	mu   sync.RWMutex
-	fed  *geo.Federation
-	opts Options
-
-	seq     atomic.Uint64
-	scrapes atomic.Uint64
-
-	// nextEmit is the next virtual-time SSE boundary; pacer-only.
-	nextEmit time.Duration
-
-	sse       *broadcaster
-	frameBufs sync.Pool
-	bufs      sync.Pool
+	pacer[GeoSnapshot]
+	fed *geo.Federation
 }
 
 // NewGeoServer validates the options and builds a server around the
@@ -90,96 +72,22 @@ func NewGeoServer(fed *geo.Federation, opts Options) (*GeoServer, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	s := &GeoServer{
-		fed:  fed,
-		opts: opts,
-		sse:  newBroadcaster(),
-	}
-	s.frameBufs.New = func() any { return []float64(nil) }
-	s.bufs.New = func() any { return new(bytes.Buffer) }
-	s.nextEmit = fed.Now() + opts.EmitEvery
+	s := &GeoServer{fed: fed}
+	s.init(s, opts)
 	return s, nil
 }
 
-// Options reports the effective options after defaulting.
-func (s *GeoServer) Options() Options { return s.opts }
+func (s *GeoServer) now() time.Duration { return s.fed.Now() }
 
-// AdvanceTo drives the federation to the target virtual time under the
-// write lock. Slicing Federation.AdvanceTo is outcome-neutral (barriers
-// fire at fixed epoch boundaries regardless of pacing), so a served
-// federation stays bit-identical to a batch run over the same horizon.
-func (s *GeoServer) AdvanceTo(target time.Duration) error {
-	s.mu.Lock()
-	err := s.fed.AdvanceTo(target)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.emitIfDue()
-	return nil
-}
+func (s *GeoServer) advance(target time.Duration) error { return s.fed.AdvanceTo(target) }
 
-// emitIfDue publishes one SSE snapshot when the virtual clock has
-// crossed the next cadence boundary. Pacer-goroutine only.
-func (s *GeoServer) emitIfDue() {
-	s.mu.RLock()
-	now := s.fed.Now()
-	due := now >= s.nextEmit
-	var snap GeoSnapshot
-	if due {
-		snap = s.snapshotLocked()
-	}
-	s.mu.RUnlock()
-	if !due {
-		return
-	}
-	for s.nextEmit <= now {
-		s.nextEmit += s.opts.EmitEvery
-	}
-	snap.Seq = s.seq.Add(1)
-	s.sse.publishEvent(snap.Seq, "snapshot", snap)
-}
-
-// Run paces the federation until ctx is cancelled or the horizon is
-// reached, exactly like Server.Run.
-func (s *GeoServer) Run(ctx context.Context) error {
-	tick := time.NewTicker(s.opts.Slice)
-	defer tick.Stop()
-	step := time.Duration(float64(s.opts.Slice) * s.opts.Speedup)
-	if step <= 0 {
-		step = 1
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-		s.mu.RLock()
-		target := s.fed.Now() + step
-		s.mu.RUnlock()
-		if target > s.opts.Horizon {
-			target = s.opts.Horizon
-		}
-		if err := s.AdvanceTo(target); err != nil {
-			return err
-		}
-		s.mu.RLock()
-		done := s.fed.Now() >= s.opts.Horizon
-		s.mu.RUnlock()
-		if done {
-			return nil
-		}
-	}
-}
-
-// Snapshot captures a consistent federation view under the read lock.
-func (s *GeoServer) Snapshot() GeoSnapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := s.snapshotLocked()
-	snap.Seq = s.seq.Load()
+func (s *GeoServer) stamp(snap GeoSnapshot, seq uint64) GeoSnapshot {
+	snap.Seq = seq
 	return snap
+}
+
+func (s *GeoServer) render(buf *bytes.Buffer, snap GeoSnapshot, scrapes uint64) {
+	writeGeoMetrics(buf, &snap, scrapes)
 }
 
 // snapshotLocked builds the federated snapshot; callers hold s.mu.
@@ -206,9 +114,8 @@ func (s *GeoServer) snapshotLocked() GeoSnapshot {
 			Site:            site.Name(),
 			TZOffsetSeconds: site.TZOffset().Seconds(),
 			RouteWeight:     site.Weight(),
-			Snapshot:        buildSnapshot(src, s.opts.OutsideC, s.opts.OutsideRH, &s.frameBufs),
+			Snapshot:        s.buildSnapshot(src),
 		}
-		sec.Snapshot.Speedup = s.opts.Speedup
 		// Carbon is evaluated in site-local time against the site's own
 		// grid model; grams come from the barrier-integrated meter.
 		local := now + site.TZOffset()
@@ -224,90 +131,4 @@ func (s *GeoServer) snapshotLocked() GeoSnapshot {
 		snap.Sites = append(snap.Sites, sec)
 	}
 	return snap
-}
-
-// Shutdown mirrors Server.Shutdown: one final SSE frame, then every
-// stream drains and returns. Safe to call more than once.
-func (s *GeoServer) Shutdown() {
-	snap := s.Snapshot()
-	var final []byte
-	if data, err := json.Marshal(snap); err == nil {
-		var frame bytes.Buffer
-		fmt.Fprintf(&frame, "id: %d\nevent: shutdown\ndata: %s\n\n", snap.Seq, data)
-		final = frame.Bytes()
-	}
-	s.sse.shutdown(final)
-}
-
-// Handler returns the HTTP mux: /metrics (merged OpenMetrics with a
-// site label), /api/v1/snapshot (JSON with per-site sections),
-// /api/v1/stream (SSE), and /healthz.
-func (s *GeoServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/api/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/api/v1/stream", s.handleStream)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-func (s *GeoServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrapes.Add(1)
-	snap := s.Snapshot()
-	buf := s.bufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	writeGeoMetrics(buf, &snap, scrapes)
-	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(buf.Bytes())
-	s.bufs.Put(buf)
-}
-
-func (s *GeoServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *GeoServer) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	ch := s.sse.subscribe()
-	defer s.sse.unsubscribe(ch)
-
-	snap := s.Snapshot()
-	if data, err := json.Marshal(snap); err == nil {
-		fmt.Fprintf(w, "id: %d\nevent: snapshot\ndata: %s\n\n", snap.Seq, data)
-	}
-	fl.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case frame, ok := <-ch:
-			if !ok {
-				return
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
 }

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -196,71 +193,5 @@ func TestGeoServedEqualsBatch(t *testing.T) {
 	want := batch.Result()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("served result diverged from batch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestGeoSSEStream checks the federated SSE stream delivers the priming
-// snapshot and then cadence events as virtual time advances.
-func TestGeoSSEStream(t *testing.T) {
-	s := geoTestServer(t, 5, 2, Options{Speedup: 3600, EmitEvery: 15 * time.Minute})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/stream", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	events := make(chan GeoSnapshot, 16)
-	go func() {
-		defer close(events)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var snap GeoSnapshot
-			if json.Unmarshal([]byte(line[6:]), &snap) == nil {
-				events <- snap
-			}
-		}
-	}()
-
-	// Priming event arrives before any advance.
-	select {
-	case snap := <-events:
-		if len(snap.Sites) != 2 {
-			t.Fatalf("priming snapshot sites = %d, want 2", len(snap.Sites))
-		}
-	case <-ctx.Done():
-		t.Fatal("no priming event")
-	}
-
-	if err := s.AdvanceTo(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case snap, ok := <-events:
-		if !ok {
-			t.Fatal("stream closed before cadence event")
-		}
-		if snap.SimTimeSeconds <= 0 || snap.Seq == 0 {
-			t.Errorf("cadence event malformed: %+v", snap)
-		}
-	case <-ctx.Done():
-		t.Fatal("no cadence event after advancing past the emit boundary")
-	}
-
-	s.Shutdown()
-	for range events {
 	}
 }

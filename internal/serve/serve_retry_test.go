@@ -1,11 +1,7 @@
 package serve
 
 import (
-	"bufio"
-	"context"
-	"io"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -170,77 +166,5 @@ func TestServeStandaloneRetrySource(t *testing.T) {
 	}
 	if snap.Users.Retry.FreshTotal != 1150 {
 		t.Errorf("fresh = %v, want 1150", snap.Users.Retry.FreshTotal)
-	}
-}
-
-func TestServerShutdownClosesStreams(t *testing.T) {
-	s, _ := testServer(t, 1, 5, Options{Speedup: 3600})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/stream", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	// Read the initial snapshot event, then shut down and expect one
-	// final "event: shutdown" frame followed by EOF.
-	sc := bufio.NewScanner(resp.Body)
-	ready := make(chan struct{}, 1)
-	shutdownSeen := make(chan bool, 1)
-	go func() {
-		gotShutdown := false
-		for sc.Scan() {
-			switch sc.Text() {
-			case "event: snapshot":
-				select {
-				case ready <- struct{}{}:
-				default:
-				}
-			case "event: shutdown":
-				gotShutdown = true
-			}
-		}
-		shutdownSeen <- gotShutdown
-	}()
-
-	select {
-	case <-ready:
-	case <-ctx.Done():
-		t.Fatal("no initial SSE event before shutdown")
-	}
-	s.Shutdown()
-	s.Shutdown() // idempotent
-	select {
-	case got := <-shutdownSeen:
-		if !got {
-			t.Error("stream ended without a final shutdown event")
-		}
-	case <-ctx.Done():
-		t.Fatal("stream did not end after Shutdown")
-	}
-
-	// Streams opened after shutdown end immediately (after the initial
-	// snapshot), and scrapes still answer.
-	resp2, err := http.Get(ts.URL + "/api/v1/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadAll(resp2.Body); err != nil {
-		t.Errorf("post-shutdown stream read: %v", err)
-	}
-	resp2.Body.Close()
-	resp3, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp3.Body)
-	resp3.Body.Close()
-	if err := Lint(body); err != nil {
-		t.Errorf("post-shutdown scrape fails lint: %v", err)
 	}
 }

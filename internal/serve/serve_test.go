@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/cooling"
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/onoff"
 	"repro/internal/power"
 	"repro/internal/server"
@@ -94,27 +96,27 @@ func testServer(t *testing.T, seed int64, fleetSize int, opts Options) (*Server,
 	return s, dc
 }
 
-// scrape fetches one /metrics exposition and returns it parsed into a
-// sample map (series -> value) after running it through the linter.
-func scrape(t *testing.T, url string) (map[string]float64, string) {
-	t.Helper()
+// fetchMetrics fetches one /metrics exposition and returns it parsed
+// into a sample map (series -> value) after running it through the
+// linter.
+func fetchMetrics(url string) (map[string]float64, string, error) {
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
-		t.Fatal(err)
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %s", resp.Status)
+		return nil, "", fmt.Errorf("GET /metrics: %s", resp.Status)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != ContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, ContentType)
+		return nil, "", fmt.Errorf("Content-Type = %q, want %q", ct, ContentType)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, "", err
 	}
 	if err := Lint(body); err != nil {
-		t.Fatalf("exposition fails lint: %v\n%s", err, body)
+		return nil, "", fmt.Errorf("exposition fails lint: %v\n%s", err, body)
 	}
 	samples := map[string]float64{}
 	for _, line := range strings.Split(string(body), "\n") {
@@ -124,11 +126,21 @@ func scrape(t *testing.T, url string) (map[string]float64, string) {
 		sp := strings.LastIndexByte(line, ' ')
 		v, err := strconv.ParseFloat(line[sp+1:], 64)
 		if err != nil {
-			t.Fatalf("bad sample line %q: %v", line, err)
+			return nil, "", fmt.Errorf("bad sample line %q: %v", line, err)
 		}
 		samples[line[:sp]] = v
 	}
-	return samples, string(body)
+	return samples, string(body), nil
+}
+
+// scrape is fetchMetrics for the test's own goroutine.
+func scrape(t *testing.T, url string) (map[string]float64, string) {
+	t.Helper()
+	samples, body, err := fetchMetrics(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples, body
 }
 
 // TestServeEndToEnd drives a facility through virtual hours and checks
@@ -226,36 +238,133 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSSEStream subscribes to /api/v1/stream, advances virtual time
-// across several emit boundaries, and checks the events arrive ordered
-// and well-formed.
-func TestSSEStream(t *testing.T) {
-	s, _ := testServer(t, 2, 10, Options{Speedup: 3600, EmitEvery: 15 * time.Second})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// served is the surface both server kinds share through the pacer.
+type served interface {
+	AdvanceTo(time.Duration) error
+	Run(context.Context) error
+	Handler() http.Handler
+	Shutdown()
+	Options() Options
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/stream", nil)
+// servedSnapshot decodes what both kinds' snapshots carry: the shared
+// header, and the facility sections wherever they sit (top level for a
+// single site, per site for a federation).
+type servedSnapshot struct {
+	Seq            uint64            `json:"seq"`
+	SimTimeSeconds float64           `json:"sim_time_seconds"`
+	Facility       *FacilitySnapshot `json:"facility"`
+	Sites          []GeoSiteSnapshot `json:"sites"`
+}
+
+func (s servedSnapshot) facilities() []*FacilitySnapshot {
+	fs := []*FacilitySnapshot{s.Facility}
+	for i := range s.Sites {
+		fs = append(fs, s.Sites[i].Facility)
+	}
+	return fs
+}
+
+// servedKind is one server kind under the tests that must hold for both.
+type servedKind struct {
+	name string
+	// energy is the cumulative-energy counter the exposition carries.
+	energy string
+	// sites is the number of per-site snapshot sections (0: none).
+	sites int
+	// horizon is the Options.Horizon that ends a run at 2 virtual hours:
+	// explicit for a single site, zero (the federation's own) for geo.
+	horizon time.Duration
+	build   func(t *testing.T, opts Options) served
+}
+
+func servedKinds() []servedKind {
+	return []servedKind{
+		{
+			name: "single", energy: "dcsim_fleet_energy_joules_total", horizon: 2 * time.Hour,
+			build: func(t *testing.T, opts Options) served {
+				s, _ := testServer(t, 3, 10, opts)
+				return s
+			},
+		},
+		{
+			name: "geo", energy: "dcsim_geo_energy_joules_total", sites: 2,
+			build: func(t *testing.T, opts Options) served {
+				cfg := geoTestConfig(3, 2)
+				cfg.Horizon = 2 * time.Hour
+				cfg.Parallel = true
+				fed, err := geo.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(fed.Close)
+				s, err := NewGeoServer(fed, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			},
+		},
+	}
+}
+
+// fetchSnapshot fetches and decodes /api/v1/snapshot, rejecting a body
+// that is not valid JSON.
+func fetchSnapshot(url string) (servedSnapshot, error) {
+	var snap servedSnapshot
+	resp, err := http.Get(url + "/api/v1/snapshot")
+	if err != nil {
+		return snap, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return snap, err
+	}
+	if !json.Valid(body) {
+		return snap, fmt.Errorf("snapshot is not valid JSON:\n%s", body)
+	}
+	return snap, json.Unmarshal(body, &snap)
+}
+
+// getSnapshot is fetchSnapshot for the test's own goroutine.
+func getSnapshot(t *testing.T, url string) servedSnapshot {
+	t.Helper()
+	snap, err := fetchSnapshot(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+type sseEvent struct {
+	id   uint64
+	name string
+	snap servedSnapshot
+}
+
+// streamEvents opens /api/v1/stream and delivers its events in order;
+// the channel closes when the stream ends.
+func streamEvents(ctx context.Context, t *testing.T, url string) <-chan sseEvent {
+	t.Helper()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/v1/stream", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
 		t.Fatalf("Content-Type = %q", ct)
 	}
-
-	type event struct {
-		id   uint64
-		snap Snapshot
-	}
-	events := make(chan event, 32)
+	// Buffered past the events any test waits for, so the reader never
+	// holds up the stream while the test is busy advancing time.
+	events := make(chan sseEvent, 32)
 	go func() {
 		defer close(events)
+		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
-		var ev event
-		var sawData bool
+		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		var ev sseEvent
 		for sc.Scan() {
 			line := sc.Text()
 			switch {
@@ -266,144 +375,256 @@ func TestSSEStream(t *testing.T) {
 					return
 				}
 				ev.id = id
-			case line == "event: snapshot":
+			case strings.HasPrefix(line, "event: "):
+				ev.name = line[7:]
 			case strings.HasPrefix(line, "data: "):
 				if err := json.Unmarshal([]byte(line[6:]), &ev.snap); err != nil {
 					t.Errorf("bad data line: %v", err)
 					return
 				}
-				sawData = true
 			case line == "":
-				if sawData {
-					events <- ev
-					ev, sawData = event{}, false
-				}
+				events <- ev
+				ev = sseEvent{}
 			default:
 				t.Errorf("unexpected SSE line %q", line)
 				return
 			}
 		}
 	}()
+	return events
+}
 
-	// First event is the immediate current-state snapshot.
-	var first event
-	select {
-	case first = <-events:
-	case <-ctx.Done():
-		t.Fatal("no initial SSE event")
+// TestSSEStream subscribes to /api/v1/stream, advances virtual time
+// across several emit boundaries, and checks the events arrive ordered
+// and well-formed.
+func TestSSEStream(t *testing.T) {
+	for _, k := range servedKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.build(t, Options{Speedup: 3600, EmitEvery: 15 * time.Second})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			events := streamEvents(ctx, t, ts.URL)
+
+			// First event is the immediate current-state snapshot.
+			var first sseEvent
+			select {
+			case first = <-events:
+			case <-ctx.Done():
+				t.Fatal("no initial SSE event")
+			}
+
+			// Cross 8 emit boundaries; one event per AdvanceTo step.
+			for i := 1; i <= 8; i++ {
+				if err := s.AdvanceTo(time.Duration(i) * 15 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			lastID, lastSim := first.id, first.snap.SimTimeSeconds
+			for n := 0; n < 8; n++ {
+				select {
+				case ev, ok := <-events:
+					if !ok {
+						t.Fatal("stream closed early")
+					}
+					if ev.name != "snapshot" {
+						t.Fatalf("cadence event named %q", ev.name)
+					}
+					if ev.id <= lastID {
+						t.Fatalf("event ids not increasing: %d after %d", ev.id, lastID)
+					}
+					if ev.snap.SimTimeSeconds < lastSim {
+						t.Fatalf("sim time went backwards: %v after %v", ev.snap.SimTimeSeconds, lastSim)
+					}
+					if ev.snap.Seq != ev.id {
+						t.Fatalf("event id %d != snapshot seq %d", ev.id, ev.snap.Seq)
+					}
+					if len(ev.snap.Sites) != k.sites {
+						t.Fatalf("event has %d site sections, want %d", len(ev.snap.Sites), k.sites)
+					}
+					lastID, lastSim = ev.id, ev.snap.SimTimeSeconds
+				case <-ctx.Done():
+					t.Fatalf("timed out after %d events", n)
+				}
+			}
+		})
 	}
+}
 
-	// Cross 8 emit boundaries; one event per AdvanceTo step.
-	for i := 1; i <= 8; i++ {
-		if err := s.AdvanceTo(time.Duration(i) * 15 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestHandlers checks the endpoints both kinds share: health, a linted
+// exposition, a valid JSON snapshot, a stream that opens with the
+// current snapshot, and a shutdown that sends one final frame, ends the
+// stream, and leaves scrapes answering.
+func TestHandlers(t *testing.T) {
+	for _, k := range servedKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.build(t, Options{Speedup: 3600, EmitEvery: 15 * time.Minute})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			// Cross two emit boundaries so the sequence is past zero.
+			for _, at := range []time.Duration{20 * time.Minute, 40 * time.Minute} {
+				if err := s.AdvanceTo(at); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	lastID, lastSim := first.id, first.snap.SimTimeSeconds
-	for n := 0; n < 8; n++ {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				t.Fatal("stream closed early")
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ev.id <= lastID {
-				t.Fatalf("event ids not increasing: %d after %d", ev.id, lastID)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+				t.Errorf("/healthz = %s %q", resp.Status, body)
 			}
-			if ev.snap.SimTimeSeconds < lastSim {
-				t.Fatalf("sim time went backwards: %v after %v", ev.snap.SimTimeSeconds, lastSim)
+
+			samples, _ := scrape(t, ts.URL)
+			if samples[k.energy] <= 0 {
+				t.Errorf("%s = %v, want positive", k.energy, samples[k.energy])
 			}
-			if ev.snap.Seq != ev.id {
-				t.Fatalf("event id %d != snapshot seq %d", ev.id, ev.snap.Seq)
+
+			snap := getSnapshot(t, ts.URL)
+			if snap.Seq != 2 || snap.SimTimeSeconds != (40*time.Minute).Seconds() {
+				t.Errorf("snapshot seq %d at %vs, want 2 at 2400s", snap.Seq, snap.SimTimeSeconds)
 			}
-			lastID, lastSim = ev.id, ev.snap.SimTimeSeconds
-		case <-ctx.Done():
-			t.Fatalf("timed out after %d events", n)
-		}
+			if len(snap.Sites) != k.sites {
+				t.Errorf("snapshot has %d site sections, want %d", len(snap.Sites), k.sites)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			events := streamEvents(ctx, t, ts.URL)
+			select {
+			case ev := <-events:
+				if ev.name != "snapshot" || ev.id != snap.Seq || ev.snap.Seq != snap.Seq {
+					t.Errorf("first event %q id %d seq %d, want snapshot with seq %d", ev.name, ev.id, ev.snap.Seq, snap.Seq)
+				}
+				if len(ev.snap.Sites) != k.sites {
+					t.Errorf("first event has %d site sections, want %d", len(ev.snap.Sites), k.sites)
+				}
+			case <-ctx.Done():
+				t.Fatal("no initial SSE event")
+			}
+
+			s.Shutdown()
+			s.Shutdown() // idempotent
+			var rest []sseEvent
+			for ev := range events {
+				rest = append(rest, ev)
+			}
+			if ctx.Err() != nil {
+				t.Fatal("stream did not end after Shutdown")
+			}
+			if len(rest) != 1 || rest[0].name != "shutdown" || rest[0].id != snap.Seq {
+				t.Errorf("after Shutdown got %+v, want one shutdown frame with id %d", rest, snap.Seq)
+			}
+
+			// Streams opened after shutdown end right after the initial
+			// snapshot, and scrapes still answer.
+			var late []sseEvent
+			for ev := range streamEvents(ctx, t, ts.URL) {
+				late = append(late, ev)
+			}
+			if len(late) != 1 || late[0].name != "snapshot" {
+				t.Errorf("post-shutdown stream carried %+v, want the initial snapshot only", late)
+			}
+			scrape(t, ts.URL)
+		})
 	}
 }
 
 // TestScrapeWhileSimulating is the -race soak: the pacer advances the
-// engine while scrapers hammer every endpoint concurrently.
+// simulation while scrapers hammer every endpoint concurrently, and Run
+// returns by itself once the horizon is reached.
 func TestScrapeWhileSimulating(t *testing.T) {
-	s, _ := testServer(t, 3, 10, Options{
-		Speedup:   7200,
-		Horizon:   2 * time.Hour,
-		Slice:     2 * time.Millisecond,
-		EmitEvery: 15 * time.Second,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, k := range servedKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.build(t, Options{
+				Speedup:   7200,
+				Horizon:   k.horizon,
+				Slice:     2 * time.Millisecond,
+				EmitEvery: 15 * time.Second,
+			})
+			if got := s.Options().Horizon; got != 2*time.Hour {
+				t.Fatalf("effective horizon %v, want 2h", got)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	paceDone := make(chan error, 1)
-	go func() { paceDone <- s.Run(ctx) }()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			paceDone := make(chan error, 1)
+			go func() { paceDone <- s.Run(ctx) }()
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lastEnergy float64
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				samples, _ := scrape(t, ts.URL)
-				if e := samples["dcsim_fleet_energy_joules_total"]; e < lastEnergy {
-					t.Errorf("energy counter regressed: %v -> %v", lastEnergy, e)
-					return
-				} else {
-					lastEnergy = e
-				}
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var lastEnergy float64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						samples, _, err := fetchMetrics(ts.URL)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if e := samples[k.energy]; e < lastEnergy {
+							t.Errorf("energy counter regressed: %v -> %v", lastEnergy, e)
+							return
+						} else {
+							lastEnergy = e
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := http.Get(ts.URL + "/api/v1/snapshot")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var snap Snapshot
-			err = json.NewDecoder(resp.Body).Decode(&snap)
-			resp.Body.Close()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if snap.Facility != nil {
-				for _, z := range snap.Facility.Zones {
-					if z.InletC < -50 || z.InletC > 200 {
-						t.Errorf("non-physical inlet %v (torn read?)", z.InletC)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					snap, err := fetchSnapshot(ts.URL)
+					if err != nil {
+						t.Error(err)
 						return
 					}
+					for _, f := range snap.facilities() {
+						if f == nil {
+							continue
+						}
+						for _, z := range f.Zones {
+							if z.InletC < -50 || z.InletC > 200 {
+								t.Errorf("non-physical inlet %v (torn read?)", z.InletC)
+								return
+							}
+						}
+					}
 				}
-			}
-		}
-	}()
+			}()
 
-	err := <-paceDone
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("pacer: %v", err)
-	}
-	snap := s.Snapshot()
-	if snap.SimTimeSeconds != (2 * time.Hour).Seconds() {
-		t.Fatalf("horizon not reached: %v", snap.SimTimeSeconds)
+			// Run must end at the horizon on its own, not at ctx's deadline.
+			err := <-paceDone
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("pacer: %v", err)
+			}
+			if got := getSnapshot(t, ts.URL).SimTimeSeconds; got != (2 * time.Hour).Seconds() {
+				t.Fatalf("horizon not reached: %v", got)
+			}
+		})
 	}
 }
 
@@ -469,6 +690,12 @@ func TestOptionsValidation(t *testing.T) {
 	for _, opts := range []Options{
 		{Speedup: 0},
 		{Speedup: -1},
+		{Speedup: math.NaN()},
+		{Speedup: math.Inf(1)},
+		{Speedup: 2e11}, // Slice*Speedup past 2^63 ns wraps the step
+		{Speedup: 1, OutsideC: math.NaN(), OutsideRH: 0.5},
+		{Speedup: 1, OutsideC: math.Inf(-1), OutsideRH: 0.5},
+		{Speedup: 1, OutsideC: 20, OutsideRH: math.NaN()},
 		{Speedup: 1, Horizon: -time.Hour},
 		{Speedup: 1, Slice: -time.Second},
 		{Speedup: 1, EmitEvery: -time.Second},
@@ -477,9 +704,15 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := NewServer(src, opts); err == nil {
 			t.Errorf("NewServer(%+v) should reject", opts)
 		}
+		if err := opts.Validate(); err == nil {
+			t.Errorf("Validate(%+v) should reject", opts)
+		}
 	}
 	if _, err := NewServer(Source{}, Options{Speedup: 1}); err == nil {
 		t.Error("nil engine should reject")
+	}
+	if _, err := NewServer(src, Options{Speedup: 1e11}); err != nil {
+		t.Errorf("largest representable step rejected: %v", err)
 	}
 	s, err := NewServer(src, Options{Speedup: 2})
 	if err != nil {

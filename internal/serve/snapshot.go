@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -172,8 +171,7 @@ type DegraderSnapshot struct {
 // write).
 func (s *Server) snapshotLocked() Snapshot {
 	now := s.src.Engine.Now()
-	snap := buildSnapshot(s.src, s.opts.OutsideC, s.opts.OutsideRH, &s.frameBufs)
-	snap.Speedup = s.opts.Speedup
+	snap := s.buildSnapshot(s.src)
 	snap.Carbon = CarbonSnapshot{
 		IntensityGPerKWh: s.opts.Carbon.IntensityAt(now),
 		RateGPerHour:     s.opts.Carbon.RateGPerHour(now, snap.PowerW),
@@ -183,17 +181,18 @@ func (s *Server) snapshotLocked() Snapshot {
 }
 
 // buildSnapshot captures one simulation's state — the engine, fleet,
-// manager, facility, degrader, and user slices. It is the shared core
-// under the single-facility server and each per-site section of the geo
-// server; the caller fills Speedup and the Carbon slice (pacing and
-// emission metering live with the owner, not the simulation). The
-// caller must hold whatever lock guards the source.
-func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool) Snapshot {
+// manager, facility, degrader, and user slices — at the pacer's speedup
+// and outside conditions. It is the shared core under the
+// single-facility server and each per-site section of the geo server;
+// the caller fills the Carbon slice (emission metering lives with the
+// kind, not the simulation). The caller holds p.mu.
+func (p *pacer[S]) buildSnapshot(src Source) Snapshot {
 	now := src.Engine.Now()
 	fleet := src.Fleet
 	driftLast, driftMax := fleet.RebaseDrift()
 	snap := Snapshot{
 		SimTimeSeconds:  now.Seconds(),
+		Speedup:         p.opts.Speedup,
 		EventsProcessed: src.Engine.Processed(),
 		FleetSize:       fleet.Size(),
 		OnCount:         fleet.OnCount(),
@@ -213,7 +212,7 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 		snap.WorstResponseSeconds = m.WorstResponse().Seconds()
 	}
 	if dc := src.DC; dc != nil {
-		snap.Facility = buildFacilitySnapshot(src, now, outsideC, outsideRH, frameBufs)
+		snap.Facility = p.buildFacilitySnapshot(src, now)
 	}
 	if d := src.Degrader; d != nil {
 		snap.Degrader = &DegraderSnapshot{
@@ -278,7 +277,7 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 // from the open row of the columnar telemetry frame — the same bytes
 // batch-mode analysis reads, one memcpy, no re-aggregation; per-rack and
 // per-zone power are the fleet's O(1) maintained sums.
-func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH float64, frameBufs *sync.Pool) *FacilitySnapshot {
+func (p *pacer[S]) buildFacilitySnapshot(src Source, now time.Duration) *FacilitySnapshot {
 	dc := src.DC
 	fleet := src.Fleet
 	topo := dc.Topology()
@@ -294,7 +293,7 @@ func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH fl
 	}
 	var frameRow []float64
 	if fw := dc.Frames(); fw != nil {
-		buf := frameBufs.Get().([]float64)
+		buf := p.frameBufs.Get().([]float64)
 		if len(buf) < fw.Width() {
 			buf = make([]float64, fw.Width())
 		}
@@ -302,7 +301,7 @@ func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH fl
 			frameRow = buf
 			fs.FrameAtSeconds = at.Seconds()
 		} else {
-			frameBufs.Put(buf) //nolint:staticcheck // slice reuse, not pointer identity
+			p.frameBufs.Put(buf) //nolint:staticcheck // slice reuse, not pointer identity
 		}
 	}
 	for z := 0; z < room.Zones(); z++ {
@@ -313,12 +312,12 @@ func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH fl
 		fs.Zones[z] = ZoneSnapshot{Zone: room.ZoneName(z), PowerW: fleet.ZonePowerW(z), InletC: inlet}
 	}
 	if frameRow != nil {
-		frameBufs.Put(frameRow) //nolint:staticcheck
+		p.frameBufs.Put(frameRow) //nolint:staticcheck
 	}
 	flow := dc.Flow()
 	fs.FeedInputW = flow.InW
 	fs.DistLossW = flow.TotalLoss()
-	if pue, _, err := dc.PUEAt(outsideC, outsideRH); err == nil {
+	if pue, _, err := dc.PUEAt(p.opts.OutsideC, p.opts.OutsideRH); err == nil {
 		fs.PUE = pue
 	}
 	return fs

@@ -8,11 +8,11 @@ import (
 	"sync"
 )
 
-// broadcaster fans published snapshots out to SSE subscribers. Each
+// broadcaster fans rendered SSE frames out to subscribers. Each
 // subscriber has a buffered channel; a subscriber that cannot keep up
 // has events dropped rather than stalling the pacer — the event id
-// (snapshot sequence number) makes gaps visible to the client. Events
-// are marshalled once per publish and delivered to every subscriber in
+// (snapshot sequence number) makes gaps visible to the client. A frame
+// is rendered once (sseFrame) and delivered to every subscriber in
 // publish order.
 type broadcaster struct {
 	mu     sync.Mutex
@@ -64,43 +64,41 @@ func (b *broadcaster) shutdown(final []byte) {
 	}
 }
 
-// publish renders the snapshot as one SSE frame and offers it to every
-// subscriber without blocking.
-func (b *broadcaster) publish(snap Snapshot) {
-	b.publishEvent(snap.Seq, "snapshot", snap)
-}
-
-// publishEvent renders any snapshot-shaped value as one SSE frame and
-// offers it to every subscriber without blocking. The geo server
-// publishes its federated snapshot through this path.
-func (b *broadcaster) publishEvent(id uint64, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Snapshots are plain data; marshalling cannot fail absent a
-		// programming error. Drop the event rather than kill the pacer.
-		return
-	}
-	var frame bytes.Buffer
-	fmt.Fprintf(&frame, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
-	payload := frame.Bytes()
+// publish offers one rendered frame to every subscriber without
+// blocking.
+func (b *broadcaster) publish(frame []byte) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return
 	}
 	for ch := range b.subs {
 		select {
-		case ch <- payload:
+		case ch <- frame:
 		default: // slow subscriber: drop, never block the pacer
 		}
 	}
-	b.mu.Unlock()
+}
+
+// sseFrame renders one SSE frame: the event id, its name, and v as a
+// single line of JSON data.
+func sseFrame(id uint64, event string, v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		// Snapshots are plain data; marshalling cannot fail absent a
+		// programming error. Callers drop the event rather than kill
+		// the pacer.
+		return nil, err
+	}
+	var frame bytes.Buffer
+	fmt.Fprintf(&frame, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
+	return frame.Bytes(), nil
 }
 
 // handleStream serves /api/v1/stream: an SSE stream of snapshot events
 // on the configured virtual-time cadence. The first event is the
 // current snapshot so clients render immediately.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (p *pacer[S]) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -112,12 +110,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	ch := s.sse.subscribe()
-	defer s.sse.unsubscribe(ch)
+	ch := p.sse.subscribe()
+	defer p.sse.unsubscribe(ch)
 
-	snap := s.Snapshot()
-	if data, err := json.Marshal(snap); err == nil {
-		fmt.Fprintf(w, "id: %d\nevent: snapshot\ndata: %s\n\n", snap.Seq, data)
+	snap, seq := p.snapshot()
+	if frame, err := sseFrame(seq, "snapshot", snap); err == nil {
+		_, _ = w.Write(frame)
 	}
 	fl.Flush()
 
@@ -135,29 +133,4 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
-}
-
-// handleSnapshot serves /api/v1/snapshot as pretty-printed JSON.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleMetrics serves /metrics in the OpenMetrics text format. The
-// snapshot is taken under the read lock; rendering happens outside it
-// into a pooled buffer.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrapes.Add(1)
-	snap := s.Snapshot()
-	buf := s.bufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	writeMetrics(buf, snap, scrapes)
-	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(buf.Bytes())
-	s.bufs.Put(buf)
 }
