@@ -15,7 +15,11 @@
 // informational by default because wall time on shared runners is
 // noise, while B/op, like allocs/op, is a count the runner cannot blur.
 // Significance is a two-sided Mann–Whitney U test (the same test
-// benchstat applies), so a single noisy run cannot fail the gate.
+// benchstat applies), so a single noisy run cannot fail the gate. A
+// baseline benchmark the run did not produce fails the gate too, so a
+// deleted or renamed benchmark cannot drop out of it unseen; a run
+// narrowed with -bench therefore compares against a baseline of the
+// same set.
 //
 // A written file records the GOMAXPROCS and NumCPU it was measured
 // with. A comparison prints both files' counts first and warns when they
@@ -155,7 +159,7 @@ func run(args []string, out io.Writer) error {
 		report, regressions := compare(base.Benchmarks, cur.Benchmarks, gateSet(*gate), *threshold, *alpha)
 		fmt.Fprint(out, report)
 		if regressions > 0 {
-			return fmt.Errorf("%d gated benchmark regression(s) vs %s", regressions, *baseline)
+			return fmt.Errorf("%d gated benchmark regression(s) or missing benchmark(s) vs %s", regressions, *baseline)
 		}
 		fmt.Fprintf(out, "no gated regressions vs %s\n", *baseline)
 	}
@@ -302,18 +306,23 @@ func median(xs []float64) float64 {
 
 // compare renders a delta table of every (benchmark, metric) present in
 // both sets and counts gated regressions: significant (Mann-Whitney p <
-// alpha) worsenings beyond the threshold in a gated metric class.
+// alpha) worsenings beyond the threshold in a gated metric class. Every
+// baseline benchmark absent from cur is listed as MISSING and counted
+// too.
 func compare(base, cur Results, gated map[string]bool, threshold, alpha float64) (string, int) {
 	var names []string
 	for name := range base {
-		if _, ok := cur[name]; ok {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	var b strings.Builder
 	regressions := 0
 	for _, name := range names {
+		if _, ok := cur[name]; !ok {
+			fmt.Fprintf(&b, "%-55s %14s  %s\n", name, "", "MISSING from this run")
+			regressions++
+			continue
+		}
 		var units []string
 		for unit := range base[name] {
 			if _, ok := cur[name][unit]; ok {

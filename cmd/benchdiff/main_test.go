@@ -152,6 +152,28 @@ func TestCompareGatesBytes(t *testing.T) {
 	}
 }
 
+// TestCompareFailsOnMissingBaselineEntry checks a baseline benchmark
+// absent from the run — deleted, renamed, or skipped by the run's flags
+// — is listed and fails the gate instead of dropping out of it.
+func TestCompareFailsOnMissingBaselineEntry(t *testing.T) {
+	base := mkResults([]float64{1, 1, 1, 1, 1}, []float64{1000, 1000, 1000, 1000, 1000})
+	base["BenchmarkGone"] = map[string][]float64{"allocs/op": {1, 1, 1, 1, 1}}
+	cur := mkResults([]float64{1, 1, 1, 1, 1}, []float64{1000, 1000, 1000, 1000, 1000})
+	report, regs := compare(base, cur, gateSet("allocs,bytes,throughput"), 0.15, 0.05)
+	if regs != 1 {
+		t.Fatalf("failures = %d, want 1 for the missing entry\n%s", regs, report)
+	}
+	if !strings.Contains(report, "BenchmarkGone") || !strings.Contains(report, "MISSING") {
+		t.Errorf("report does not list the missing entry:\n%s", report)
+	}
+	// An entry new in the run is not a failure.
+	cur["BenchmarkNew"] = map[string][]float64{"allocs/op": {1, 1, 1, 1, 1}}
+	delete(base, "BenchmarkGone")
+	if _, regs := compare(base, cur, gateSet("allocs,bytes,throughput"), 0.15, 0.05); regs != 0 {
+		t.Fatalf("a benchmark new in the run failed the gate")
+	}
+}
+
 func TestRunCompareFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, f File) string {

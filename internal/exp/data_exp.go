@@ -52,12 +52,9 @@ func (r TelemetryResult) Report() string {
 // clock (the only experiment where wall time, not virtual time, is the
 // metric).
 func RunTelemetry(env *Env) (Result, error) {
-	seed := env.Seed
-	_ = seed // deterministic synthetic values; no randomness needed
 	store, err := telemetry.NewStore(telemetry.Config{
 		RawInterval:  15 * stdtime.Second,
 		RawRetention: stdtime.Hour,
-		Shards:       32,
 	})
 	if err != nil {
 		return nil, err
@@ -70,28 +67,31 @@ func RunTelemetry(env *Env) (Result, error) {
 		counters = 10
 		day      = 24 * 60 * 4 // 15s samples per day
 	)
-	// Resolve one Appender per key up front: the collector pipeline pays
-	// the key hash and map lookup once at registration, not per point.
+	// One collector sweep reads every server's counters at the same
+	// instant, so the whole fleet is one frame and each 15 s sweep is
+	// one frame round.
 	keys := make([]string, 0, servers*counters)
-	apps := make([]*telemetry.Appender, 0, servers*counters)
 	for s := 0; s < servers; s++ {
 		for c := 0; c < counters; c++ {
-			k := fmt.Sprintf("srv%04d/c%02d", s, c)
-			keys = append(keys, k)
-			apps = append(apps, store.Appender(k))
+			keys = append(keys, fmt.Sprintf("srv%04d/c%02d", s, c))
 		}
 	}
+	fw, err := store.Frames(keys)
+	if err != nil {
+		return nil, err
+	}
+	round := make([]float64, len(keys))
 	start := stdtime.Now()
 	total := 0
 	for i := 0; i < day; i++ {
 		ts := stdtime.Duration(i) * 15 * stdtime.Second
-		v := float64(i % 960)
-		for _, a := range apps {
-			if err := a.Append(ts, v); err != nil {
-				return nil, err
-			}
-			total++
+		for k := range round {
+			round[k] = float64(i % 960)
 		}
+		if err := fw.Append(ts, round); err != nil {
+			return nil, err
+		}
+		total += len(round)
 	}
 	elapsed := stdtime.Since(start)
 	perMin := float64(total) / elapsed.Minutes()
@@ -99,9 +99,7 @@ func RunTelemetry(env *Env) (Result, error) {
 	// Query speedup: daily trend via the pyramid vs scanning raw-rate
 	// data reconstructed from minute buckets (raw band was dropped —
 	// that IS the design; compare against an un-aggregated store).
-	flat, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: 15 * stdtime.Second, RawRetention: 0, Shards: 4,
-	})
+	flat, err := telemetry.NewStore(telemetry.Config{RawInterval: 15 * stdtime.Second})
 	if err != nil {
 		return nil, err
 	}

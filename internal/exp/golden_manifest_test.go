@@ -27,13 +27,13 @@ var preRequestGoldenSHA256 = map[string]string{
 	"crac.json":              "662e19dbf4240260a4309f0c93a0be896f0c4653ec5c57c6d23a594d7f609b41",
 	"distributed.json":       "d5e038da2861131be8742dc3c3c7b8adb138ee75fc3bf97913bf91d022b765bf",
 	"dvfs.json":              "2d78e6a2ca5bf82bd4ed356f6b062e1c2b772ffeb7c9bf3b1694d6e640c3b244",
-	"fault-crac.json":        "ea14ffda9eac0f30231adba7000cd436c59129135a0fb16c46b111637423069b",
+	"fault-crac.json":        "35cf9d5c312cc16a0e4bd1b32dc3ec48889344918ed14db27f782334c2e49937",
 	"fault-outage.json":      "708e36122c39b9c4ae2c48f85636c3c66bad93987a94c859ebfa8d3236cdff13",
 	"fault-sensor.json":      "1adf98b2a6fe58975fb68eb347d5790a9d311386d9f0b86020985687b18b0a82",
 	"fig1.json":              "85059953f3c1e75af0c1d193098df76ea777897b33e5dfce928d19d32c5d6d96",
 	"fig2.json":              "508351a724c9901b001bb3ef65eeda205763f0cd31e9eacb21cce61dadd94f81",
 	"fig3.json":              "c7a97a2c6698fa87cdb06ab9882b3995792a31e5ea41cf199bf1c92621c86f05",
-	"fig4.json":              "76dde63bf65e8030b0f10d2c637bc43a4a344c20ac3147d3ac53d3c932fa7bde",
+	"fig4.json":              "0a3e140d1d8b9265806b18ab0be8fa39a8e67c78a2fe6876bbf367ece7ee26ee",
 	"geo.json":               "4d37120bde4171e01109180ddad670e1e876a068cd268eb2596963940f3dd26f",
 	"hetero.json":            "94d852845fb26c57666341caffaf8889e5b8a096be696ca25183412016e137cf",
 	"idle60.json":            "5380c24653aa73270b46f73535faee87cef86223378e42d8c51c9b56608e1762",

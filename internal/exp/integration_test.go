@@ -29,7 +29,7 @@ func TestAnomalyDetectionFindsFlashCrowds(t *testing.T) {
 		t.Skip("no flash crowds drawn for this seed")
 	}
 	store, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: time.Minute, RawRetention: 0, Shards: 2,
+		RawInterval: time.Minute, RawRetention: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestAnomalyDetectionFindsFlashCrowds(t *testing.T) {
 // drops) correlates negatively.
 func TestTelemetryCorrelationSeparatesBalancedServers(t *testing.T) {
 	store, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: time.Minute, RawRetention: 0, Shards: 2,
+		RawInterval: time.Minute, RawRetention: 0,
 	})
 	if err != nil {
 		t.Fatal(err)

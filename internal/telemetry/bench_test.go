@@ -18,16 +18,18 @@ func BenchmarkAppendRetentionSteady(b *testing.B) {
 			store, err := NewStore(Config{
 				RawInterval:  interval,
 				RawRetention: time.Duration(window) * interval,
-				Shards:       1,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			a := store.Appender("srv/cpu")
+			a, err := store.Frames([]string{"srv/cpu"})
+			if err != nil {
+				b.Fatal(err)
+			}
 			// Fill the window so the steady state (one drop per append)
 			// starts at iteration 0.
 			for i := 0; i < window; i++ {
-				if err := a.Append(time.Duration(i)*interval, float64(i)); err != nil {
+				if err := a.Append(time.Duration(i)*interval, []float64{float64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -35,7 +37,7 @@ func BenchmarkAppendRetentionSteady(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := time.Duration(window+i) * interval
-				if err := a.Append(t, float64(i)); err != nil {
+				if err := a.Append(t, []float64{float64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,23 +67,26 @@ func BenchmarkAppendByKey(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendByHandle measures the same ingest through resolved
-// Appender handles — the fast path collection pipelines should use.
+// BenchmarkAppendByHandle measures the same ingest through one-column
+// FrameWriter handles resolved up front, which skip the per-point key
+// lookup.
 func BenchmarkAppendByHandle(b *testing.B) {
 	store, err := NewStore(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	const keys = 100
-	handles := make([]*Appender, keys)
+	handles := make([]*FrameWriter, keys)
 	for k := range handles {
-		handles[k] = store.Appender(fmt.Sprintf("srv%02d/cpu", k))
+		if handles[k], err = store.Frames([]string{fmt.Sprintf("srv%02d/cpu", k)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := time.Duration(i) * 15 * time.Second
-		if err := handles[i%keys].Append(ts, float64(i%100)); err != nil {
+		if err := handles[i%keys].Append(ts, []float64{float64(i % 100)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,27 +9,27 @@ import (
 )
 
 // TestConcurrentScrapeWhileIngest is the live-exporter shape: one
-// goroutine ingests frame rounds, one runs Batch bursts over plain
-// series, and scrapers hammer every read path the serving layer uses
-// (Query at several resolutions, LatestInto, Stats, Keys, the derived
-// analyses). Run under -race this proves the store's concurrency
-// contract; without -race it is still a torn-read smoke test because
-// every observed bucket must be internally consistent.
+// goroutine ingests frame rounds, one appends plain series through
+// their one-column frame handles, and scrapers hammer every read path
+// the serving layer uses (Query at several resolutions, LatestInto,
+// Stats, Keys, the derived analyses). Run under -race this proves the
+// store's concurrency contract; without -race it is still a torn-read
+// smoke test because every observed bucket must be internally
+// consistent.
 func TestConcurrentScrapeWhileIngest(t *testing.T) {
-	s, err := NewStore(Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour})
 	frameKeys := []string{"f/power", "f/util", "f/inlet", "f/cap"}
 	fw, err := s.Frames(frameKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plainKeys := make([]string, 8)
-	appenders := make([]*Appender, len(plainKeys))
+	handles := make([]*FrameWriter, len(plainKeys))
 	for i := range plainKeys {
 		plainKeys[i] = fmt.Sprintf("plain/%d", i)
-		appenders[i] = s.Appender(plainKeys[i])
+		if handles[i], err = s.Frames(plainKeys[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const rounds = 2000
@@ -53,72 +53,28 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 		}
 	}()
 
-	// Batched plain-series ingester.
+	// Plain-series ingester.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			ts := time.Duration(r) * 15 * time.Second
-			b := s.BeginBatch()
-			for i, a := range appenders {
-				if err := b.Append(a, ts, float64(r*i)); err != nil {
-					b.End()
+			for i, h := range handles {
+				if err := h.Append(ts, []float64{float64(r * i)}); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			b.End()
 		}
 	}()
 
 	// Scrapers.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			latest := make([]float64, fw.Width())
-			for i := 0; !stop.Load(); i++ {
-				key := frameKeys[i%len(frameKeys)]
-				if i%2 == 1 {
-					key = plainKeys[i%len(plainKeys)]
-				}
-				res := []Resolution{ResRaw, ResMinute, ResHour}[i%3]
-				bs, err := s.Query(key, 0, 1<<62, res)
-				if err != nil {
-					t.Errorf("query %q: %v", key, err)
-					return
-				}
-				for _, b := range bs {
-					if b.Count <= 0 || b.Min > b.Max {
-						t.Errorf("torn bucket for %q: %+v", key, b)
-						return
-					}
-				}
-				if ts, ok := fw.LatestInto(latest); ok {
-					// A round is written atomically: the latest row must be
-					// the self-consistent r, r+1, r+2, ... pattern.
-					base := latest[0]
-					for k, v := range latest {
-						if v != base+float64(k) {
-							t.Errorf("torn frame row at %v: %v", ts, latest)
-							return
-						}
-					}
-				}
-				if st := s.Stats(); st.RawPoints < 0 || st.Keys < 0 {
-					t.Errorf("implausible stats: %+v", st)
-					return
-				}
-				if i%64 == 0 {
-					s.Keys()
-					// Derived analyses share Query's locking; exercise one.
-					if _, err := s.DailyAverages(frameKeys[0]); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(g)
+			scrape(t, s, fw, frameKeys, plainKeys, &stop)
+		}()
 	}
 
 	// Let writers finish, then release scrapers.
@@ -139,48 +95,158 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	}
 }
 
-// TestFramedReadsDoNotBlockBehindBatch pins the scrape-latency fix: a
-// Batch burst holds every shard lock, but framed keys live outside the
-// shards, so Query and LatestInto on them must complete while the batch
-// is open. Before Query consulted the frame registry first, a framed
-// scrape blocked on the (irrelevant) shard its key hashed to until the
-// burst ended.
-func TestFramedReadsDoNotBlockBehindBatch(t *testing.T) {
-	s, err := NewStore(Config{RawInterval: 15 * time.Second, Shards: 2})
+// scrape runs every read path against s until stop is set: Query at
+// several resolutions on framed and plain keys, LatestInto on fw (whose
+// rounds must read as r, r+1, r+2, ...), Stats, Keys and a derived
+// analysis. Every bucket it sees must be internally consistent.
+func scrape(t *testing.T, s *Store, fw *FrameWriter, frameKeys, plainKeys []string, stop *atomic.Bool) {
+	latest := make([]float64, fw.Width())
+	for i := 0; !stop.Load(); i++ {
+		key := frameKeys[i%len(frameKeys)]
+		if i%2 == 1 {
+			key = plainKeys[i%len(plainKeys)]
+		}
+		res := []Resolution{ResRaw, ResMinute, ResHour}[i%3]
+		bs, err := s.Query(key, 0, 1<<62, res)
+		if err != nil {
+			t.Errorf("query %q: %v", key, err)
+			return
+		}
+		for _, b := range bs {
+			if b.Count <= 0 || b.Min > b.Max {
+				t.Errorf("torn bucket for %q: %+v", key, b)
+				return
+			}
+		}
+		if ts, ok := fw.LatestInto(latest); ok {
+			// A round is written atomically: the latest row must be
+			// the self-consistent r, r+1, r+2, ... pattern.
+			base := latest[0]
+			for k, v := range latest {
+				if v != base+float64(k) {
+					t.Errorf("torn frame row at %v: %v", ts, latest)
+					return
+				}
+			}
+		}
+		if st := s.Stats(); st.RawPoints < 0 || st.Keys < len(frameKeys)+len(plainKeys) {
+			t.Errorf("implausible stats: %+v", st)
+			return
+		}
+		if i%64 == 0 {
+			s.Keys()
+			// Derived analyses share Query's locking; exercise one.
+			if _, err := s.DailyAverages(frameKeys[0]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+}
+
+// TestConcurrentIngestion races the creation path: writers call
+// Store.Append on keys that other writers are creating at the same
+// moment and on keys that already exist, while scrapers read a wide
+// frame and the registry. Every key must end up as one one-column frame
+// holding every sample appended to it. Run it under -race.
+func TestConcurrentIngestion(t *testing.T) {
+	s := mustStore(t, DefaultConfig())
+	frameKeys := []string{"f/a", "f/b", "f/c"}
+	fw, err := s.Frames(frameKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := s.Frames([]string{"f/a", "f/b"})
-	if err != nil {
-		t.Fatal(err)
+	const (
+		workers   = 8
+		keys      = 16 // shared by every worker, created by whichever comes first
+		perWorker = 400
+	)
+	existing := []string{"old/0", "old/1"}
+	for _, k := range existing {
+		if err := s.Append(k, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := fw.Append(0, []float64{1, 2}); err != nil {
-		t.Fatal(err)
+	var stop atomic.Bool
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			scrape(t, s, fw, frameKeys, existing, &stop)
+		}()
 	}
-
-	b := s.BeginBatch()
-	defer b.End()
-
-	done := make(chan error, 1)
+	readers.Add(1)
 	go func() {
-		if _, err := s.Query("f/a", 0, 1<<62, ResRaw); err != nil {
-			done <- err
-			return
+		defer readers.Done()
+		vals := make([]float64, len(frameKeys))
+		for r := 0; !stop.Load(); r++ {
+			for k := range vals {
+				vals[k] = float64(r + k)
+			}
+			if err := fw.Append(time.Duration(r)*time.Second, vals); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-		buf := make([]float64, fw.Width())
-		if _, ok := fw.LatestInto(buf); !ok {
-			done <- fmt.Errorf("no latest round")
-			return
-		}
-		done <- nil
 	}()
-	select {
-	case err := <-done:
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < perWorker; i++ {
+				// Only this worker appends its own key, in time order;
+				// every sample of a shared or existing key has the same
+				// time, so per-key order holds without coordination.
+				own := fmt.Sprintf("srv%d/cpu", w)
+				if err := s.Append(own, time.Duration(i)*15*time.Second, float64(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				shared := fmt.Sprintf("shared/%d", i%keys)
+				if err := s.Append(shared, time.Hour, 1); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Append(existing[i%len(existing)], time.Hour, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	if got, want := len(s.Keys()), len(frameKeys)+len(existing)+workers+keys; got != want {
+		t.Fatalf("%d keys, want %d", got, want)
+	}
+	count := func(key string) int64 {
+		bs, err := s.Query(key, 0, 1<<62, ResDay)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("framed read blocked behind an open batch")
+		var n int64
+		for _, b := range bs {
+			n += b.Count
+		}
+		return n
+	}
+	for w := 0; w < workers; w++ {
+		if n := count(fmt.Sprintf("srv%d/cpu", w)); n != perWorker {
+			t.Errorf("srv%d/cpu holds %d samples, want %d", w, n, perWorker)
+		}
+	}
+	for k := 0; k < keys; k++ {
+		if n := count(fmt.Sprintf("shared/%d", k)); n != workers*perWorker/keys {
+			t.Errorf("shared/%d holds %d samples, want %d", k, n, workers*perWorker/keys)
+		}
+	}
+	for _, k := range existing {
+		if n := count(k); n != 1+workers*perWorker/int64(len(existing)) {
+			t.Errorf("%s holds %d samples, want %d", k, n, 1+workers*perWorker/len(existing))
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ func Example() {
 	store, err := telemetry.NewStore(telemetry.Config{
 		RawInterval:  15 * time.Second,
 		RawRetention: 30 * time.Minute,
-		Shards:       4,
 	})
 	if err != nil {
 		panic(err)

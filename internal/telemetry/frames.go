@@ -19,50 +19,53 @@ import (
 // arrays ingest path that keeps a 10,000-server sample round cache-
 // friendly.
 //
-// Framed keys live in the parent Store's namespace: Query, Stats, Keys
-// and the derived analyses (DailyAverages, HourlyPattern, Anomalies,
-// CorrelateDetrended) see identical buckets to what per-point ingestion
-// of the same values would have produced.
+// The frame is the store's only series representation: a key first
+// seen by Store.Append is a one-column frame. Query, Stats, Keys and the
+// derived analyses (DailyAverages, HourlyPattern, Anomalies,
+// CorrelateDetrended) read a key the same way whatever its frame's
+// width.
 type FrameWriter struct {
 	store *Store
 	keys  []string
 
-	mu     sync.RWMutex
-	lastT  time.Duration
-	hasAny bool
+	mu sync.RWMutex
+	// lastT is the newest round's time; timestamps are non-negative, so
+	// its zero value admits any first round.
+	lastT time.Duration
 	// Raw band: a ring of retained rounds, one timestamp per slot and
 	// values row-major (slot s's values are rawV[s*K : (s+1)*K]).
 	raw           ring
 	rawT          []time.Duration
 	rawV          []float64
 	droppedRounds int64
-	levels        [4]frameLevel
+	levels        [len(levelWidths)]frameLevel
 	// colShards partitions the column space for AppendPar, fixed at
-	// construction (a pure function of the frame width).
+	// construction (a pure function of the frame width); nil for a
+	// one-column frame, which always folds inline.
 	colShards []par.Range
 }
 
-// frameLevel is one aggregation level of the frame pyramid. The open
-// bucket is columnar: a shared start/count plus K-wide sum/min/max
-// columns; closing a bucket copies the columns into the closed ring.
+// levelWidths are the bucket widths of the aggregate levels, finest
+// first: minute, quarter-hour, hour and day.
+var levelWidths = [...]time.Duration{time.Minute, 15 * time.Minute, time.Hour, 24 * time.Hour}
+
+// frameLevel is one aggregation level of the frame pyramid. A bucket
+// row is a shared start and count plus a sum, min and max per key, the
+// three side by side (key k at [3k], [3k+1], [3k+2]), so a fold touches
+// one place per key and closing the open bucket copies one row.
 type frameLevel struct {
-	width  time.Duration
 	curEnd time.Duration // exclusive end of the open bucket; 0 while empty
 	curCnt int64
-	curSum []float64
-	curMin []float64
-	curMax []float64
-	// Closed buckets: a ring with starts/counts per slot and value
-	// columns row-major (slot s, key k at [s*K+k]).
+	cur    []float64 // the open bucket's 3K-wide row
+	// Closed buckets: a ring with a start and count per slot and the
+	// slot's 3K-wide row at vals[s*3K:].
 	closed ring
 	starts []time.Duration
 	counts []int64
-	sums   []float64
-	mins   []float64
-	maxs   []float64
+	vals   []float64
 }
 
-// frameRef resolves a framed key to its writer and column.
+// frameRef resolves a key to its frame's writer and column.
 type frameRef struct {
 	w   *FrameWriter
 	col int
@@ -70,15 +73,15 @@ type frameRef struct {
 
 // Frames declares keys as one synchronously-sampled frame and returns
 // its writer. The keys must be distinct and must not already exist in
-// the store (as plain series or in another frame); they are created
-// empty. Lock order: the store's frame registry is always acquired
-// before any shard lock.
+// the store; they are created empty. Frames([]string{key}) returns the
+// append handle of a single series: the same one-column frame that
+// Store.Append creates for a key it has not seen.
 func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("telemetry: frame needs at least one key")
 	}
-	s.framesMu.Lock()
-	defer s.framesMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	seen := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if seen[k] {
@@ -86,38 +89,47 @@ func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 		}
 		seen[k] = true
 		if _, ok := s.frames[k]; ok {
-			return nil, fmt.Errorf("telemetry: key %q already belongs to a frame", k)
-		}
-		sh := s.shardFor(k)
-		sh.mu.RLock()
-		_, exists := sh.series[k]
-		sh.mu.RUnlock()
-		if exists {
-			return nil, fmt.Errorf("telemetry: key %q already exists as a plain series", k)
+			return nil, fmt.Errorf("telemetry: key %q already exists", k)
 		}
 	}
-	w := &FrameWriter{store: s, keys: append([]string(nil), keys...)}
+	return s.newFrame(keys), nil
+}
+
+// newFrame builds the writer for keys and registers its columns; the
+// caller holds s.mu and has checked the keys are new. A one-column
+// frame is allocated as a single block with its key and open-bucket
+// columns, so a plain series costs one allocation before its first
+// sample and one more for its raw band.
+func (s *Store) newFrame(keys []string) *FrameWriter {
 	k := len(keys)
-	w.colShards = par.Shards(k)
-	for i := range w.levels {
-		// Cache-line-aligned columns: AppendPar shards these by column
-		// range on 64-byte boundaries, so aligned bases keep concurrent
-		// shards off each other's lines.
-		w.levels[i] = frameLevel{
-			curSum: par.AlignedFloats(k),
-			curMin: par.AlignedFloats(k),
-			curMax: par.AlignedFloats(k),
-		}
+	var w *FrameWriter
+	var cur []float64
+	if k == 1 {
+		b := new(struct {
+			w   FrameWriter
+			key [1]string
+			cur [3 * len(levelWidths)]float64
+		})
+		b.key[0] = keys[0]
+		w, cur = &b.w, b.cur[:]
+		w.keys = b.key[:]
+	} else {
+		w = &FrameWriter{keys: append([]string(nil), keys...), colShards: par.Shards(k)}
+		// Every level's row starts on a cache line: AppendPar shards the
+		// keys by range on 8-key boundaries (three 64-byte lines of
+		// row), so aligned rows keep concurrent shards off each other's
+		// lines.
+		cur = par.AlignedFloats(len(levelWidths) * 3 * ((k + 7) / 8 * 8))
 	}
-	w.levels[0].width = time.Minute
-	w.levels[1].width = 15 * time.Minute
-	w.levels[2].width = time.Hour
-	w.levels[3].width = 24 * time.Hour
+	w.store = s
+	per := len(cur) / len(levelWidths)
+	for i := range w.levels {
+		w.levels[i].cur = cur[i*per : i*per+3*k : i*per+3*k]
+	}
 	for col, key := range w.keys {
 		s.frames[key] = frameRef{w: w, col: col}
 	}
-	s.frameWriters = append(s.frameWriters, w)
-	return w, nil
+	return w
 }
 
 // Keys returns the frame's key set in column order.
@@ -131,7 +143,7 @@ func (w *FrameWriter) Width() int { return len(w.keys) }
 // reports false if no round has been ingested yet. This is the
 // zero-copy scrape path for live exporters: one memcpy of the open row
 // under the frame's read lock — no bucket materialization, no
-// aggregation, and no contention with the store's shard locks.
+// aggregation, and no store lock.
 func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 	k := len(w.keys)
 	if len(dst) < k {
@@ -151,47 +163,64 @@ func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 // key, all observed at time t. Rounds must arrive in non-decreasing
 // time order.
 func (w *FrameWriter) Append(t time.Duration, values []float64) error {
-	return w.AppendPar(t, values, nil)
+	w.mu.Lock()
+	inBucket, err := w.beginRound(t, values)
+	for i := range w.levels {
+		if inBucket[i] {
+			w.levels[i].foldColumns(values, 0, len(values))
+		}
+	}
+	w.mu.Unlock()
+	return err
 }
 
 // AppendPar is Append with the K-wide column updates fanned out over the
 // pool. Every per-column fold (sum/min/max) touches only that column's
 // state, so the sharded execution is bit-identical to the serial one for
-// any worker count — including the nil pool, which runs the shards
-// inline and IS the serial path. All boundary decisions, closed-bucket
-// ring writes, raw-band writes, and retention trimming stay on the
-// calling goroutine; only the in-bucket column arithmetic fans out.
+// any worker count. A nil pool, or a frame too narrow for more than one
+// column shard, takes Append's inline path. All boundary decisions,
+// closed-bucket ring writes, raw-band writes, and retention trimming stay
+// on the calling goroutine; only the in-bucket column arithmetic fans
+// out.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
-	if len(values) != len(w.keys) {
-		return fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
-	}
-	if t < 0 {
-		return fmt.Errorf("telemetry: negative timestamp %v", t)
+	if p == nil || len(w.colShards) < 2 {
+		return w.Append(t, values)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.hasAny && t < w.lastT {
-		return fmt.Errorf("telemetry: out-of-order frame round: %v after %v", t, w.lastT)
+	inBucket, err := w.beginRound(t, values)
+	if inBucket != [len(levelWidths)]bool{} {
+		w.foldLevelsPar(p, inBucket, values)
+	}
+	return err
+}
+
+// beginRound validates round t, writes it to the raw band and makes each
+// level's one boundary decision: a round past the open bucket's end
+// rolls the level over (roll); a round inside it bumps the bucket's
+// count and is reported in inBucket, its values still to be folded in
+// (foldColumns). The caller holds w.mu.
+func (w *FrameWriter) beginRound(t time.Duration, values []float64) (inBucket [len(levelWidths)]bool, err error) {
+	if len(values) != len(w.keys) {
+		return inBucket, fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
+	}
+	if t < 0 {
+		return inBucket, fmt.Errorf("telemetry: negative timestamp %v", t)
+	}
+	if t < w.lastT {
+		return inBucket, fmt.Errorf("telemetry: out-of-order frame round: %v after %v", t, w.lastT)
 	}
 	w.lastT = t
-	w.hasAny = true
 	w.pushRaw(t, values)
-	var inBucket [4]bool
-	anyIn := false
 	for i := range w.levels {
-		inBucket[i] = w.levels[i].foldBoundary(t, values, w.store.cfg.LevelRows)
-		anyIn = anyIn || inBucket[i]
-	}
-	if anyIn {
-		if p == nil {
-			// Closure-free serial path: the steady-state ingest stays
-			// allocation-free per round.
-			w.foldLevels(&inBucket, values, 0, len(values))
+		if l := &w.levels[i]; t < l.curEnd {
+			l.curCnt++
+			inBucket[i] = true
 		} else {
-			w.foldLevelsPar(p, inBucket, values)
+			l.roll(t, levelWidths[i], values, w.store.cfg.LevelRows)
 		}
 	}
-	return nil
+	return inBucket, nil
 }
 
 // pushRaw expires the rounds older than the retention window and writes
@@ -208,8 +237,10 @@ func (w *FrameWriter) pushRaw(t time.Duration, values []float64) {
 	k := len(w.keys)
 	if w.raw.full() {
 		rows := w.raw.nextRows(w.store.rawRows)
-		w.rawT = regrow(w.rawT, w.raw, 1, rows)
-		w.rawV = regrow(w.rawV, w.raw, k, rows)
+		rawT, rawV := newRawBand(rows, k)
+		unwrap(rawT, w.rawT, w.raw, 1)
+		unwrap(rawV, w.rawV, w.raw, k)
+		w.rawT, w.rawV = rawT, rawV
 		w.raw.resize(rows)
 	}
 	s := w.raw.push()
@@ -217,91 +248,76 @@ func (w *FrameWriter) pushRaw(t time.Duration, values []float64) {
 	copy(w.rawV[s*k:(s+1)*k], values)
 }
 
-// foldBoundary makes the level's single per-round boundary decision and,
-// on rollover, closes the open bucket into the closed ring (keeping at
-// most limit buckets; 0 keeps all) and seeds the new one from the
-// round's values. It reports whether the round lands in the
-// already-open bucket, i.e. whether the K-wide column updates are still
-// pending (foldColumns).
-func (l *frameLevel) foldBoundary(t time.Duration, values []float64, limit int) bool {
-	if t < l.curEnd {
-		l.curCnt++
-		return true
-	}
+// roll handles a round at t past the open bucket's end: it closes the
+// open bucket into the closed ring (keeping at most limit buckets; 0
+// keeps all) and opens the one holding t, seeded from the round's
+// values.
+func (l *frameLevel) roll(t, width time.Duration, values []float64, limit int) {
 	var start time.Duration
-	if t < l.curEnd+l.width {
+	if t < l.curEnd+width {
 		// Adjacent bucket — the steady-state rollover. No division.
 		start = l.curEnd
 	} else {
-		start = t / l.width * l.width
+		start = t / width * width
 	}
 	if l.curEnd != 0 {
-		l.closeBucket(limit)
+		l.closeBucket(width, limit)
 	}
-	l.curEnd = start + l.width
+	l.curEnd = start + width
 	l.curCnt = 1
-	copy(l.curSum, values)
-	copy(l.curMin, values)
-	copy(l.curMax, values)
-	return false
+	cur := l.cur[:3*len(values)]
+	for k, v := range values {
+		b := cur[3*k : 3*k+3 : 3*k+3]
+		b[0], b[1], b[2] = v, v, v
+	}
 }
 
 // closeBucket copies the open bucket into the closed ring, evicting the
 // oldest bucket once the ring holds limit (0: no limit). A limited ring
 // is allocated once, at full size, on its first close.
-func (l *frameLevel) closeBucket(limit int) {
-	k := len(l.curSum)
+func (l *frameLevel) closeBucket(width time.Duration, limit int) {
 	if limit > 0 && l.closed.n == limit {
 		l.closed.pop()
 	}
+	row := len(l.cur)
 	if l.closed.full() {
 		rows := l.closed.nextRows(limit)
 		l.starts = regrow(l.starts, l.closed, 1, rows)
 		l.counts = regrow(l.counts, l.closed, 1, rows)
-		l.sums = regrow(l.sums, l.closed, k, rows)
-		l.mins = regrow(l.mins, l.closed, k, rows)
-		l.maxs = regrow(l.maxs, l.closed, k, rows)
+		l.vals = regrow(l.vals, l.closed, row, rows)
 		l.closed.resize(rows)
 	}
 	s := l.closed.push()
-	l.starts[s] = l.curEnd - l.width
+	l.starts[s] = l.curEnd - width
 	l.counts[s] = l.curCnt
-	copy(l.sums[s*k:(s+1)*k], l.curSum)
-	copy(l.mins[s*k:(s+1)*k], l.curMin)
-	copy(l.maxs[s*k:(s+1)*k], l.curMax)
+	copy(l.vals[s*row:(s+1)*row], l.cur)
 }
 
-// foldLevelsPar fans foldLevels out over the column shards. Kept out of
-// AppendPar so the closure's captures don't force the serial path's
-// locals onto the heap.
-func (w *FrameWriter) foldLevelsPar(p *par.Pool, inBucket [4]bool, values []float64) {
+// foldLevelsPar folds the round over the column shards into every level
+// whose bucket stayed open. Kept out of AppendPar so the closure's
+// captures don't force the serial path's locals onto the heap.
+func (w *FrameWriter) foldLevelsPar(p *par.Pool, inBucket [len(levelWidths)]bool, values []float64) {
 	p.RunRanges(w.colShards, func(_ int, r par.Range) {
-		w.foldLevels(&inBucket, values, r.Lo, r.Hi)
-	})
-}
-
-// foldLevels folds the round into every level whose bucket stayed open,
-// over the column range [lo, hi) — the shard body of AppendPar's fan-out
-// and, over the full range, the serial fold.
-func (w *FrameWriter) foldLevels(inBucket *[4]bool, values []float64, lo, hi int) {
-	for i := range w.levels {
-		if inBucket[i] {
-			w.levels[i].foldColumns(values, lo, hi)
+		for i := range w.levels {
+			if inBucket[i] {
+				w.levels[i].foldColumns(values, r.Lo, r.Hi)
+			}
 		}
-	}
+	})
 }
 
 // foldColumns folds the round's values into the open bucket over the
 // column range [lo, hi) — the shard body of AppendPar's fan-out.
 func (l *frameLevel) foldColumns(values []float64, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		v := values[k]
-		l.curSum[k] += v
-		if v < l.curMin[k] {
-			l.curMin[k] = v
+	cur := l.cur[3*lo : 3*hi]
+	for k, v := range values[lo:hi] {
+		b := cur[3*k : 3*k+3 : 3*k+3]
+		b[0] += v
+		if v < b[1] {
+			b[1] = v
 		}
-		if v > l.curMax[k] {
-			l.curMax[k] = v
+		if v > b[2] {
+			b[2] = v
 		}
 	}
 }
@@ -326,9 +342,9 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	if err != nil {
 		return nil, err
 	}
-	l := &w.levels[li]
-	lo, hi := l.closed.span(func(s int) time.Duration { return l.starts[s] }, l.width, from, to)
-	takeCur := l.curEnd != 0 && l.curEnd > from && l.curEnd-l.width < to
+	l, width := &w.levels[li], levelWidths[li]
+	lo, hi := l.closed.span(func(s int) time.Duration { return l.starts[s] }, width, from, to)
+	takeCur := l.curEnd != 0 && l.curEnd > from && l.curEnd-width < to
 	n := hi - lo
 	if takeCur {
 		n++
@@ -336,16 +352,12 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	out := make([]Bucket, 0, n)
 	for i := lo; i < hi; i++ {
 		s := l.closed.slot(i)
-		out = append(out, Bucket{
-			Start: l.starts[s], Count: l.counts[s],
-			Sum: l.sums[s*k+col], Min: l.mins[s*k+col], Max: l.maxs[s*k+col],
-		})
+		v := l.vals[s*3*k+3*col:]
+		out = append(out, Bucket{Start: l.starts[s], Count: l.counts[s], Sum: v[0], Min: v[1], Max: v[2]})
 	}
 	if takeCur {
-		out = append(out, Bucket{
-			Start: l.curEnd - l.width, Count: l.curCnt,
-			Sum: l.curSum[col], Min: l.curMin[col], Max: l.curMax[col],
-		})
+		v := l.cur[3*col:]
+		out = append(out, Bucket{Start: l.curEnd - width, Count: l.curCnt, Sum: v[0], Min: v[1], Max: v[2]})
 	}
 	return out, nil
 }

@@ -43,7 +43,7 @@ func TestAppendParMatchesAppendAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		cfg  Config
 		step time.Duration
-	}{{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}, time.Minute}}
+	}{{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour}, time.Minute}}
 	cases = append(cases, boundedCases...)
 	for _, tc := range cases {
 		stores := make([]*Store, len(variants))

@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// frameEquivalentStores ingests the same synthetic rounds twice — once
-// through a FrameWriter, once as per-point appends — and returns both
-// stores for comparison.
-func frameEquivalentStores(t *testing.T, cfg Config, keys []string, rounds int, step time.Duration) (framed, plain *Store) {
+// frameEquivalentStores ingests the same synthetic rounds three ways —
+// through one FrameWriter, as per-point Store.Append calls (one
+// one-column frame per key), and into the brute-force oracle — and
+// returns all three for comparison.
+func frameEquivalentStores(t *testing.T, cfg Config, keys []string, rounds int, step time.Duration) (framed, plain *Store, o *oracle) {
 	t.Helper()
 	framed = mustStore(t, cfg)
 	plain = mustStore(t, cfg)
+	o = newOracle(cfg)
 	fw, err := framed.Frames(keys)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +36,9 @@ func frameEquivalentStores(t *testing.T, cfg Config, keys []string, rounds int, 
 				t.Fatal(err)
 			}
 		}
+		o.round(now, keys, vals)
 	}
-	return framed, plain
+	return framed, plain, o
 }
 
 func requireSameBuckets(t *testing.T, got, want []Bucket, ctx string) {
@@ -58,8 +61,8 @@ var boundedCases = []struct {
 	cfg  Config
 	step time.Duration
 }{
-	{Config{RawInterval: time.Minute, RawRetention: time.Hour, LevelRows: 16, Shards: 4}, time.Minute},
-	{Config{RawInterval: 15 * time.Minute, RawRetention: 6 * time.Hour, LevelRows: 2, Shards: 4}, 15 * time.Minute},
+	{Config{RawInterval: time.Minute, RawRetention: time.Hour, LevelRows: 16}, time.Minute},
+	{Config{RawInterval: 15 * time.Minute, RawRetention: 6 * time.Hour, LevelRows: 2}, 15 * time.Minute},
 }
 
 // wrapSpans are query ranges for a run of the given horizon: the whole
@@ -76,10 +79,11 @@ func wrapSpans(horizon time.Duration) [][2]time.Duration {
 	}
 }
 
-// TestFramesMatchPerPointIngest is the core contract: a framed key is
-// indistinguishable from the same values appended point by point — at
-// every resolution, over full and partial ranges, and in the storage
-// accounting — with unbounded and with wrapping rings.
+// TestFramesMatchPerPointIngest is the core contract: a key of a wide
+// frame and the same values appended point by point both match the
+// brute-force oracle — at every resolution, over full and partial
+// ranges, and in the storage accounting — with unbounded and with
+// wrapping rings.
 func TestFramesMatchPerPointIngest(t *testing.T) {
 	const rounds = 300
 	keys := []string{"a/power", "a/util", "b/power", "b/util", "inlet"}
@@ -88,31 +92,15 @@ func TestFramesMatchPerPointIngest(t *testing.T) {
 		step time.Duration
 	}{
 		{noRetention(), time.Minute},
-		{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}, time.Minute},
+		{Config{RawInterval: 15 * time.Second, RawRetention: time.Hour}, time.Minute},
 	}
 	cases = append(cases, boundedCases...)
 	for _, c := range cases {
-		cfg := c.cfg
-		framed, plain := frameEquivalentStores(t, cfg, keys, rounds, c.step)
-		for _, key := range keys {
-			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
-				for _, span := range wrapSpans(rounds * c.step) {
-					ctx := fmt.Sprintf("retention=%v rows=%d %s %v [%v,%v)", cfg.RawRetention, cfg.LevelRows, key, res, span[0], span[1])
-					got, err := framed.Query(key, span[0], span[1], res)
-					if err != nil {
-						t.Fatal(ctx, err)
-					}
-					want, err := plain.Query(key, span[0], span[1], res)
-					if err != nil {
-						t.Fatal(ctx, err)
-					}
-					requireSameBuckets(t, got, want, ctx)
-				}
-			}
-		}
-		if got, want := framed.Stats(), plain.Stats(); got != want {
-			t.Errorf("retention=%v rows=%d: frame stats %+v, plain stats %+v", cfg.RawRetention, cfg.LevelRows, got, want)
-		}
+		framed, plain, o := frameEquivalentStores(t, c.cfg, keys, rounds, c.step)
+		spans := wrapSpans(rounds * c.step)
+		ctx := fmt.Sprintf("retention=%v rows=%d", c.cfg.RawRetention, c.cfg.LevelRows)
+		requireMatchesOracle(t, framed, o, spans, ctx+" framed")
+		requireMatchesOracle(t, plain, o, spans, ctx+" per-point")
 		gotKeys, wantKeys := framed.Keys(), plain.Keys()
 		if len(gotKeys) != len(wantKeys) {
 			t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
@@ -125,29 +113,26 @@ func TestFramesMatchPerPointIngest(t *testing.T) {
 	}
 }
 
-// TestBoundedLevelsKeepNewestBuckets checks the rings against unbounded
-// storage of the same rounds: each level returns exactly the newest
-// LevelRows closed buckets plus the open one, in time order across the
-// wrap, and the raw band is untouched by the level limit.
+// TestBoundedLevelsKeepNewestBuckets checks the rings against the
+// oracle's unbounded history of the same rounds: each level returns
+// exactly the newest LevelRows closed buckets plus the open one, in time
+// order across the wrap, and the raw band is untouched by the level
+// limit.
 func TestBoundedLevelsKeepNewestBuckets(t *testing.T) {
 	const rounds = 300
 	keys := []string{"x", "y"}
 	for _, c := range boundedCases {
-		framed, _ := frameEquivalentStores(t, c.cfg, keys, rounds, c.step)
-		all := c.cfg
-		all.LevelRows = 0
-		full, _ := frameEquivalentStores(t, all, keys, rounds, c.step)
+		framed, _, o := frameEquivalentStores(t, c.cfg, keys, rounds, c.step)
+		all := *o
+		all.cfg.LevelRows = 0
 		for _, key := range keys {
-			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
+			for _, res := range allResolutions {
 				ctx := fmt.Sprintf("rows=%d %s %v", c.cfg.LevelRows, key, res)
 				got, err := framed.Query(key, 0, 1<<62, res)
 				if err != nil {
 					t.Fatal(ctx, err)
 				}
-				want, err := full.Query(key, 0, 1<<62, res)
-				if err != nil {
-					t.Fatal(ctx, err)
-				}
+				want := all.buckets(key, res)
 				if keep := c.cfg.LevelRows + 1; res != ResRaw && len(want) > keep {
 					want = want[len(want)-keep:]
 				}
@@ -161,7 +146,7 @@ func TestBoundedLevelsKeepNewestBuckets(t *testing.T) {
 // framed series.
 func TestFramesDerivedQueries(t *testing.T) {
 	keys := []string{"x", "y"}
-	framed, plain := frameEquivalentStores(t, noRetention(), keys, 3000, time.Minute)
+	framed, plain, _ := frameEquivalentStores(t, noRetention(), keys, 3000, time.Minute)
 	for _, key := range keys {
 		fd, err := framed.DailyAverages(key)
 		if err != nil {
@@ -238,77 +223,17 @@ func TestFramesValidation(t *testing.T) {
 		t.Error("out-of-order round should error")
 	}
 	if err := s.Append("f1", 0, 1); err == nil {
-		t.Error("plain append to a framed key should error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Appender on a framed key should panic")
-		}
-	}()
-	s.Appender("f1")
-}
-
-// TestBatchMatchesPlainAppend checks the burst path is behaviourally
-// identical to per-point Appender appends.
-func TestBatchMatchesPlainAppend(t *testing.T) {
-	cfg := Config{RawInterval: 15 * time.Second, RawRetention: 30 * time.Minute, Shards: 4}
-	batched := mustStore(t, cfg)
-	plain := mustStore(t, cfg)
-	keys := []string{"k0", "k1", "k2"}
-	var apps []*Appender
-	for _, k := range keys {
-		apps = append(apps, batched.Appender(k))
-	}
-	for r := 0; r < 200; r++ {
-		now := time.Duration(r) * time.Minute
-		b := batched.BeginBatch()
-		for i, k := range keys {
-			v := float64(r * (i + 1))
-			if err := b.Append(apps[i], now, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.Append(k, now, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		b.End()
-	}
-	if got, want := batched.Stats(), plain.Stats(); got != want {
-		t.Fatalf("batch stats %+v, plain stats %+v", got, want)
-	}
-	for _, k := range keys {
-		for _, res := range []Resolution{ResRaw, ResMinute, ResHour} {
-			got, err := batched.Query(k, 0, 1<<62, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := plain.Query(k, 0, 1<<62, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameBuckets(t, got, want, fmt.Sprintf("%s %v", k, res))
-		}
-	}
-}
-
-func TestBatchRejectsForeignAppender(t *testing.T) {
-	s1 := mustStore(t, noRetention())
-	s2 := mustStore(t, noRetention())
-	a := s2.Appender("elsewhere")
-	b := s1.BeginBatch()
-	defer b.End()
-	if err := b.Append(a, 0, 1); err == nil {
-		t.Error("appender from another store should be rejected")
+		t.Error("plain append to a key of a wider frame should error")
 	}
 }
 
 // TestRawRingGrowsAcrossWrap feeds rounds faster than RawInterval after
 // the raw ring has wrapped, so the ring must grow with its oldest row
-// mid-buffer; framed and per-point keys must still return exactly the
-// retention window, oldest first.
+// mid-buffer; a frame's handle and per-point Store.Append must still
+// return exactly the retention window, oldest first.
 func TestRawRingGrowsAcrossWrap(t *testing.T) {
 	const retention = 10 * time.Minute
-	cfg := Config{RawInterval: time.Minute, RawRetention: retention, Shards: 2}
+	cfg := Config{RawInterval: time.Minute, RawRetention: retention}
 	framed, plain := mustStore(t, cfg), mustStore(t, cfg)
 	fw, err := framed.Frames([]string{"k"})
 	if err != nil {

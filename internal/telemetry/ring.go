@@ -3,13 +3,14 @@ package telemetry
 import (
 	"sort"
 	"time"
+	"unsafe"
 )
 
 // ring indexes a circular buffer of rows: logical row i (0 is the
 // oldest) lives in physical slot (head+i) mod rows. The owner keeps each
 // row field in its own slice of rows × width elements, so one ring can
-// index a K-wide frame band and a one-element series band alike; every
-// band of the store, raw and aggregate, framed and per-point, uses it.
+// index a K-wide frame band and a one-column band alike; every band of
+// the store, raw and aggregate, uses it.
 type ring struct {
 	head int // physical slot of the oldest row
 	n    int // rows held
@@ -62,10 +63,25 @@ func (r *ring) nextRows(hint int) int {
 // ring itself is resized.
 func regrow[T any](buf []T, r ring, width, rows int) []T {
 	out := make([]T, rows*width)
-	first := min(r.n, r.rows-r.head)
-	n := copy(out, buf[r.head*width:(r.head+first)*width])
-	copy(out[n:], buf[:(r.n-first)*width])
+	unwrap(out, buf, r, width)
 	return out
+}
+
+// unwrap copies buf's rows under r into dst, oldest first, from slot 0.
+func unwrap[T any](dst, buf []T, r ring, width int) {
+	first := min(r.n, r.rows-r.head)
+	n := copy(dst, buf[r.head*width:(r.head+first)*width])
+	copy(dst[n:], buf[:(r.n-first)*width])
+}
+
+// newRawBand allocates a raw band of rows rounds of width values as one
+// pointer-free block and returns its timestamp and value views, so a
+// band costs one allocation however narrow its frame. Both views hold
+// 8-byte scalars, so the block is never read as the other type.
+func newRawBand(rows, width int) ([]time.Duration, []float64) {
+	words := make([]float64, rows*(1+width))
+	ts := unsafe.Slice((*time.Duration)(unsafe.Pointer(unsafe.SliceData(words))), rows)
+	return ts, words[rows:]
 }
 
 // resize records that the band's slices now hold rows slots, with the

@@ -20,32 +20,29 @@
 // K × 8 B × (raw rounds + 3 × 4 × LevelRows): one value per raw round,
 // and sum, min and max for each of the four levels. A band's ring is
 // allocated in full on its first write, never at construction, so a
-// level that never closes a bucket costs nothing. Framed and per-point
-// keys share the one ring mechanism and the same retention, and queries
-// return buckets in time order across the ring's wrap.
+// level that never closes a bucket costs nothing. Every key is a column
+// of a frame — a key that Store.Append meets first is a one-column frame
+// — so all keys share the one ring mechanism and the same retention, and
+// queries return buckets in time order across the ring's wrap.
 //
 // # Concurrency contract
 //
 // A Store is safe for concurrent use: any number of goroutines may mix
-// appends (Store.Append, Appender.Append, FrameWriter.Append, Batch
-// bursts) with reads (Query, Stats, Keys, the derived analyses, and
-// FrameWriter.LatestInto). Internally the store is lock-sharded by key;
-// framed keys are guarded by their FrameWriter's own lock and never
-// touch the shard locks, so scraping a framed key (Query or LatestInto)
-// stays wait-free with respect to BeginBatch bursts, which hold every
-// shard lock for their duration. The frame registry lock is always
-// acquired before any shard lock, and no path holds a shard lock while
-// acquiring another store lock, so the lock order is acyclic.
+// appends (Store.Append, FrameWriter.Append and AppendPar) with reads
+// (Query, Stats, Keys, the derived analyses, and FrameWriter.LatestInto).
+// There are two kinds of lock: the store's key registry lock, and one
+// lock per FrameWriter over its columns. A call takes the registry lock
+// first, if at all, and then at most one writer lock; no path takes the
+// registry lock while holding a writer lock, so the lock order is
+// acyclic. Appends and queries hold the registry lock only to resolve
+// their key, so ingest into one frame never blocks a read of another.
 //
 // Reads are internally consistent but only per call: a Query observes
-// one atomic state of its series (no torn open-tail buckets), while a
+// one atomic state of its frame (no torn open-tail buckets), while a
 // sequence of calls (e.g. Stats then Query, or the multi-Query derived
 // analyses) may straddle concurrent appends. Per-key sample ordering
 // remains the appender's obligation: timestamps per key (and per frame)
 // must be non-decreasing regardless of which goroutine delivers them.
-// The one exception to general thread-safety is Batch itself: a Batch
-// value must stay on the goroutine that began it, and End must be
-// called promptly.
 package telemetry
 
 import (
@@ -126,83 +123,6 @@ func (b Bucket) Mean() float64 {
 	return b.Sum / float64(b.Count)
 }
 
-// point is one raw sample.
-type point struct {
-	t time.Duration
-	v float64
-}
-
-// level is one aggregation level of a key's pyramid. The open tail
-// bucket lives inline (cur) rather than at the end of the slice: a fold
-// that lands in the open bucket — the overwhelmingly common case for the
-// coarse levels — updates the level struct itself and touches no other
-// memory, so one ingested point dirties a handful of contiguous cache
-// lines instead of four scattered slice tails.
-type level struct {
-	width time.Duration
-	// curEnd caches cur's exclusive end time (zero while the level is
-	// empty). Timestamps per key are non-decreasing, so a sample lands
-	// either in cur or in a new bucket past it; the cached end turns the
-	// common tail hit into one comparison, no division.
-	curEnd time.Duration
-	cur    Bucket // open tail bucket; empty iff curEnd == 0
-	// Closed buckets: a ring over done, oldest first across the wrap.
-	closed ring
-	done   []Bucket
-}
-
-// fold adds one sample, closing the open bucket into the ring (which
-// keeps at most limit buckets; 0 keeps all) when t passes its end.
-func (l *level) fold(t time.Duration, v float64, limit int) {
-	if t < l.curEnd {
-		l.cur.Count++
-		l.cur.Sum += v
-		if v < l.cur.Min {
-			l.cur.Min = v
-		}
-		if v > l.cur.Max {
-			l.cur.Max = v
-		}
-		return
-	}
-	var start time.Duration
-	if t < l.curEnd+l.width {
-		// Adjacent bucket — the steady-state rollover for a level whose
-		// width matches the sampling cadence. No division.
-		start = l.curEnd
-	} else {
-		start = t / l.width * l.width
-	}
-	if l.curEnd != 0 {
-		if limit > 0 && l.closed.n == limit {
-			l.closed.pop()
-		}
-		if l.closed.full() {
-			rows := l.closed.nextRows(limit)
-			l.done = regrow(l.done, l.closed, 1, rows)
-			l.closed.resize(rows)
-		}
-		l.done[l.closed.push()] = l.cur
-	}
-	l.curEnd = start + l.width
-	l.cur = Bucket{Start: start, Count: 1, Sum: v, Min: v, Max: v}
-}
-
-// open reports whether the level has an open tail bucket.
-func (l *level) open() bool { return l.curEnd != 0 }
-
-// series is the pyramid for one key.
-type series struct {
-	// The retained raw band: a ring over points.
-	raw    ring
-	points []point
-	levels [4]level // minute, quarter, hour, day — inline for locality
-	lastT  time.Duration
-	hasAny bool
-	// dropped counts raw points discarded by band retention.
-	dropped int64
-}
-
 // Config configures a Store.
 type Config struct {
 	// RawInterval is the base sampling period (the paper uses 15 s). It
@@ -218,16 +138,13 @@ type Config struct {
 	// way the raw band is: data outside the bands "can be considered as
 	// noise and be eliminated".
 	LevelRows int
-	// Shards is the number of lock shards for concurrent ingestion.
-	Shards int
 }
 
 // DefaultConfig matches the paper's scenario: 15-second samples, one hour
-// of raw retention, enough shards for a many-core collector, and 60
-// closed buckets per level — an hour of minutes, 15 hours of quarters,
-// 60 hours of hours and 60 days.
+// of raw retention, and 60 closed buckets per level — an hour of
+// minutes, 15 hours of quarters, 60 hours of hours and 60 days.
 func DefaultConfig() Config {
-	return Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, LevelRows: 60, Shards: 32}
+	return Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, LevelRows: 60}
 }
 
 // Validate checks the configuration.
@@ -241,31 +158,20 @@ func (c Config) Validate() error {
 	if c.LevelRows < 0 {
 		return fmt.Errorf("telemetry: level rows %d must be non-negative", c.LevelRows)
 	}
-	if c.Shards <= 0 {
-		return fmt.Errorf("telemetry: shards %d must be positive", c.Shards)
-	}
 	return nil
 }
 
-// Store is a sharded multi-resolution time-series store, safe for
-// concurrent appends and queries.
+// Store is a multi-resolution time-series store, safe for concurrent
+// appends and queries.
 type Store struct {
 	cfg Config
 	// rawRows sizes each raw ring's first allocation: the samples one
 	// retention window holds at RawInterval (0 with no retention).
 	rawRows int
-	shards  []*shard
-	// Frame registry (see Frames). framesMu is always acquired before
-	// any shard lock; the per-point hot paths (Appender.Append,
-	// Batch.Append) never touch it.
-	framesMu     sync.RWMutex
-	frames       map[string]frameRef
-	frameWriters []*FrameWriter
-}
-
-type shard struct {
+	// mu guards frames, the key registry: each key's frame writer and
+	// column.
 	mu     sync.RWMutex
-	series map[string]*series
+	frames map[string]frameRef
 }
 
 // NewStore builds a store.
@@ -273,190 +179,45 @@ func NewStore(cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards), frames: make(map[string]frameRef)}
+	s := &Store{cfg: cfg, frames: make(map[string]frameRef)}
 	if cfg.RawRetention > 0 {
 		s.rawRows = int(cfg.RawRetention/cfg.RawInterval) + 1
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{series: make(map[string]*series)}
 	}
 	return s, nil
 }
 
-func (s *Store) shardFor(key string) *shard {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return s.shards[h%uint64(len(s.shards))]
-}
-
-func newSeries() *series {
-	return &series{
-		levels: [4]level{
-			{width: time.Minute},
-			{width: 15 * time.Minute},
-			{width: time.Hour},
-			{width: 24 * time.Hour},
-		},
-	}
-}
-
 // Append ingests one sample. Timestamps per key must be non-decreasing
-// (collection pipelines deliver in order); regressions are rejected.
-// Pipelines appending the same key repeatedly should resolve an Appender
-// once and use its Append, which skips the per-point key hash and map
-// lookup.
+// (collection pipelines deliver in order); regressions are rejected. A
+// key Append has not seen becomes a one-column frame; pipelines that
+// append one key repeatedly can take that frame's writer from
+// Frames([]string{key}) instead and skip the per-point key lookup. Keys
+// of a wider frame are appended through its FrameWriter.
 func (s *Store) Append(key string, t time.Duration, v float64) error {
-	// Hold the frame registry read lock across the shard operation so a
-	// concurrent Frames() cannot register key between the check and the
-	// series creation (registry before shard is the package lock order).
-	s.framesMu.RLock()
-	defer s.framesMu.RUnlock()
-	if _, framed := s.frames[key]; framed {
+	s.mu.RLock()
+	ref, ok := s.frames[key]
+	s.mu.RUnlock()
+	if !ok {
+		s.mu.Lock()
+		if ref, ok = s.frames[key]; !ok {
+			ref = frameRef{w: s.newFrame([]string{key})}
+		}
+		s.mu.Unlock()
+	}
+	if len(ref.w.keys) != 1 {
 		return fmt.Errorf("telemetry: key %q belongs to a frame; append through its FrameWriter", key)
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = newSeries()
-		sh.series[key] = ser
-	}
-	return s.appendLocked(key, ser, t, v)
+	round := [1]float64{v}
+	return ref.w.Append(t, round[:])
 }
 
-// appendLocked ingests one sample into a resolved series. The caller
-// holds the series' shard lock.
-func (s *Store) appendLocked(key string, ser *series, t time.Duration, v float64) error {
-	if t < 0 {
-		return fmt.Errorf("telemetry: negative timestamp %v", t)
-	}
-	if ser.hasAny && t < ser.lastT {
-		return fmt.Errorf("telemetry: out-of-order sample for %q: %v after %v", key, t, ser.lastT)
-	}
-	ser.lastT = t
-	ser.hasAny = true
-	for i := range ser.levels {
-		ser.levels[i].fold(t, v, s.cfg.LevelRows)
-	}
-	// Band retention: expire raw samples older than the window from the
-	// ring's oldest end (timestamps are non-decreasing, so expiry is
-	// always a prefix), then write the new one.
-	if ret := s.cfg.RawRetention; ret > 0 {
-		cutoff := t - ret
-		for ser.raw.n > 0 && ser.points[ser.raw.slot(0)].t < cutoff {
-			ser.raw.pop()
-			ser.dropped++
-		}
-	}
-	if ser.raw.full() {
-		rows := ser.raw.nextRows(s.rawRows)
-		ser.points = regrow(ser.points, ser.raw, 1, rows)
-		ser.raw.resize(rows)
-	}
-	ser.points[ser.raw.push()] = point{t: t, v: v}
-	return nil
-}
-
-// Appender is a resolved handle to one series: the shard and series are
-// looked up once at construction, so the per-point ingest path skips the
-// key hash and map lookup entirely. An Appender is safe for concurrent
-// use with other Appenders and with Store methods (appends still take
-// the shard lock); per-key sample ordering rules are unchanged.
-type Appender struct {
-	store *Store
-	sh    *shard
-	ser   *series
-	key   string
-}
-
-// Appender interns key and returns its append handle, creating the
-// series if it does not exist yet. Keys belonging to a frame have no
-// per-point series; resolving one is a programming error and panics.
-func (s *Store) Appender(key string) *Appender {
-	s.framesMu.RLock()
-	defer s.framesMu.RUnlock()
-	if _, framed := s.frames[key]; framed {
-		panic(fmt.Sprintf("telemetry: key %q belongs to a frame; append through its FrameWriter", key))
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = newSeries()
-		sh.series[key] = ser
-	}
-	sh.mu.Unlock()
-	return &Appender{store: s, sh: sh, ser: ser, key: key}
-}
-
-// Key returns the series key the handle is bound to.
-func (a *Appender) Key() string { return a.key }
-
-// Append ingests one sample through the resolved handle.
-func (a *Appender) Append(t time.Duration, v float64) error {
-	a.sh.mu.Lock()
-	err := a.store.appendLocked(a.key, a.ser, t, v)
-	a.sh.mu.Unlock()
-	return err
-}
-
-// Batch is a write burst that holds every shard lock, so a sampling
-// round over N series pays two lock operations per shard instead of two
-// per point — the difference between 20,000 atomic RMWs and 64 when a
-// 10,000-server collector flushes one round. Queries and other appenders
-// block for the duration, so End must be called promptly (it is safe and
-// idiomatic to defer it). A Batch must not outlive one burst: it is not
-// safe for concurrent use.
-type Batch struct {
-	s *Store
-}
-
-// BeginBatch locks the store for a burst of appends through resolved
-// Appenders. Shards are locked in index order — the only multi-lock
-// acquisition in the package, so lock ordering stays consistent.
-func (s *Store) BeginBatch() Batch {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	return Batch{s: s}
-}
-
-// Append ingests one sample through a resolved handle under the batch's
-// locks. The handle must come from the same store the batch was begun
-// on.
-func (b Batch) Append(a *Appender, t time.Duration, v float64) error {
-	if a.store != b.s {
-		return fmt.Errorf("telemetry: appender %q belongs to a different store", a.key)
-	}
-	return b.s.appendLocked(a.key, a.ser, t, v)
-}
-
-// End releases every shard lock acquired by BeginBatch.
-func (b Batch) End() {
-	for _, sh := range b.s.shards {
-		sh.mu.Unlock()
-	}
-}
-
-// Keys returns all stored keys in sorted order, framed keys included.
+// Keys returns all stored keys in sorted order.
 func (s *Store) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k := range sh.series {
-			keys = append(keys, k)
-		}
-		sh.mu.RUnlock()
-	}
-	s.framesMu.RLock()
+	s.mu.RLock()
+	keys := make([]string, 0, len(s.frames))
 	for k := range s.frames {
 		keys = append(keys, k)
 	}
-	s.framesMu.RUnlock()
+	s.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
 }
@@ -476,89 +237,31 @@ type Stats struct {
 // Stats reports storage accounting — the §5.3 storage-reduction measure.
 func (s *Store) Stats() Stats {
 	var out Stats
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, ser := range sh.series {
-			out.Keys++
-			out.RawPoints += int64(ser.raw.n)
-			out.DroppedRaw += ser.dropped
-			for i := range ser.levels {
-				l := &ser.levels[i]
-				out.AggBuckets += int64(l.closed.n)
-				if l.open() {
-					out.AggBuckets++
-				}
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, ref := range s.frames {
+		if ref.col == 0 {
+			ref.w.stats(&out)
 		}
-		sh.mu.RUnlock()
-	}
-	s.framesMu.RLock()
-	writers := s.frameWriters
-	s.framesMu.RUnlock()
-	for _, w := range writers {
-		w.stats(&out)
 	}
 	return out
 }
 
 // Query returns the buckets of key overlapping [from, to) at the given
 // resolution. Raw queries synthesize one bucket per sample from the
-// retained raw band.
-//
-// Framed keys are resolved against the frame registry first and answer
-// entirely from their FrameWriter's columns: a scrape of framed
-// telemetry never waits on a shard lock, so it cannot stall behind a
-// BeginBatch ingest burst (which holds every shard lock). Before this
-// ordering, a framed-key query blocked on the — always irrelevant —
-// shard its key hashed to for the whole burst.
+// retained raw band. A query holds the registry lock only to resolve
+// key, then reads under its frame's lock alone.
 func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Bucket, error) {
 	if to < from {
 		return nil, fmt.Errorf("telemetry: inverted range [%v, %v)", from, to)
 	}
-	s.framesMu.RLock()
-	ref, framed := s.frames[key]
-	s.framesMu.RUnlock()
-	if framed {
-		return ref.w.query(ref.col, from, to, res)
-	}
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	ser, ok := sh.series[key]
+	s.mu.RLock()
+	ref, ok := s.frames[key]
+	s.mu.RUnlock()
 	if !ok {
-		sh.mu.RUnlock()
 		return nil, fmt.Errorf("telemetry: unknown key %q", key)
 	}
-	defer sh.mu.RUnlock()
-	if res == ResRaw {
-		var out []Bucket
-		for i := 0; i < ser.raw.n; i++ {
-			if p := ser.points[ser.raw.slot(i)]; p.t >= from && p.t < to {
-				out = append(out, Bucket{Start: p.t, Count: 1, Sum: p.v, Min: p.v, Max: p.v})
-			}
-		}
-		return out, nil
-	}
-	li, err := levelIndex(res)
-	if err != nil {
-		return nil, err
-	}
-	lv := &ser.levels[li]
-	// Binary search the closed ring, then splice in the open tail bucket
-	// if it overlaps the range.
-	lo, hi := lv.closed.span(func(s int) time.Duration { return lv.done[s].Start }, lv.width, from, to)
-	takeCur := lv.open() && lv.curEnd > from && lv.cur.Start < to
-	n := hi - lo
-	if takeCur {
-		n++
-	}
-	out := make([]Bucket, n)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = lv.done[lv.closed.slot(i)]
-	}
-	if takeCur {
-		out[n-1] = lv.cur
-	}
-	return out, nil
+	return ref.w.query(ref.col, from, to, res)
 }
 
 func levelIndex(res Resolution) (int, error) {

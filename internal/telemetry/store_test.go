@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -18,20 +17,17 @@ func mustStore(t *testing.T, cfg Config) *Store {
 }
 
 func noRetention() Config {
-	return Config{RawInterval: 15 * time.Second, RawRetention: 0, Shards: 4}
+	return Config{RawInterval: 15 * time.Second, RawRetention: 0}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewStore(Config{RawInterval: 0, Shards: 1}); err == nil {
+	if _, err := NewStore(Config{RawInterval: 0}); err == nil {
 		t.Error("zero interval should error")
 	}
-	if _, err := NewStore(Config{RawInterval: time.Second, RawRetention: -1, Shards: 1}); err == nil {
+	if _, err := NewStore(Config{RawInterval: time.Second, RawRetention: -1}); err == nil {
 		t.Error("negative retention should error")
 	}
-	if _, err := NewStore(Config{RawInterval: time.Second, Shards: 0}); err == nil {
-		t.Error("zero shards should error")
-	}
-	if _, err := NewStore(Config{RawInterval: time.Second, LevelRows: -1, Shards: 1}); err == nil {
+	if _, err := NewStore(Config{RawInterval: time.Second, LevelRows: -1}); err == nil {
 		t.Error("negative level rows should error")
 	}
 	if _, err := NewStore(DefaultConfig()); err != nil {
@@ -139,7 +135,7 @@ func TestAggregationPyramidConsistency(t *testing.T) {
 }
 
 func TestBandRetentionDropsRawKeepsAggregates(t *testing.T) {
-	cfg := Config{RawInterval: 15 * time.Second, RawRetention: 10 * time.Minute, Shards: 2}
+	cfg := Config{RawInterval: 15 * time.Second, RawRetention: 10 * time.Minute}
 	s := mustStore(t, cfg)
 	const n = 24 * 60 * 4 // one day of 15s samples
 	for i := 0; i < n; i++ {
@@ -304,51 +300,6 @@ func TestKeysSorted(t *testing.T) {
 	}
 }
 
-func TestConcurrentIngestion(t *testing.T) {
-	s := mustStore(t, DefaultConfig())
-	const workers = 8
-	const perWorker = 2000
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			key := fmt.Sprintf("srv%d/cpu", w)
-			for i := 0; i < perWorker; i++ {
-				if err := s.Append(key, time.Duration(i)*15*time.Second, float64(i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Keys != workers {
-		t.Errorf("keys = %d, want %d", st.Keys, workers)
-	}
-	// Aggregates account for every appended point.
-	var total int64
-	for w := 0; w < workers; w++ {
-		bs, err := s.Query(fmt.Sprintf("srv%d/cpu", w), 0, 1<<62, ResHour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range bs {
-			total += b.Count
-		}
-	}
-	if total != workers*perWorker {
-		t.Errorf("aggregated count = %d, want %d", total, workers*perWorker)
-	}
-}
-
 func TestResolutionHelpers(t *testing.T) {
 	for res, want := range map[Resolution]string{
 		ResRaw: "raw", ResMinute: "1m", ResQuarter: "15m", ResHour: "1h", ResDay: "1d",
@@ -376,18 +327,19 @@ func TestResolutionHelpers(t *testing.T) {
 	}
 }
 
+// TestAppenderMatchesByKeyIngest checks the two ways to append one
+// series agree: a handle declared up front with Frames([]string{key})
+// and Store.Append, which creates the same one-column frame on the key's
+// first sample.
 func TestAppenderMatchesByKeyIngest(t *testing.T) {
-	mk := func() *Store {
-		s, err := NewStore(Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	cfg := Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, LevelRows: 8}
+	byKey, byHandle := mustStore(t, cfg), mustStore(t, cfg)
+	a, err := byHandle.Frames([]string{"srv/cpu"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	byKey, byHandle := mk(), mk()
-	a := byHandle.Appender("srv/cpu")
-	if a.Key() != "srv/cpu" {
-		t.Fatalf("handle key = %q", a.Key())
+	if keys := a.Keys(); len(keys) != 1 || keys[0] != "srv/cpu" {
+		t.Fatalf("handle keys = %q", keys)
 	}
 	for i := 0; i < 2000; i++ {
 		ts := time.Duration(i) * 15 * time.Second
@@ -395,30 +347,22 @@ func TestAppenderMatchesByKeyIngest(t *testing.T) {
 		if err := byKey.Append("srv/cpu", ts, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Append(ts, v); err != nil {
+		if err := a.Append(ts, []float64{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, res := range []Resolution{ResRaw, ResMinute, ResHour} {
-		b1, err := byKey.Query("srv/cpu", 0, 1<<62, res)
+	for _, res := range allResolutions {
+		want, err := byKey.Query("srv/cpu", 0, 1<<62, res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b2, err := byHandle.Query("srv/cpu", 0, 1<<62, res)
+		got, err := byHandle.Query("srv/cpu", 0, 1<<62, res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b1) != len(b2) {
-			t.Fatalf("%v: %d vs %d buckets", res, len(b1), len(b2))
-		}
-		for i := range b1 {
-			if b1[i] != b2[i] {
-				t.Fatalf("%v bucket %d: %+v vs %+v", res, i, b1[i], b2[i])
-			}
-		}
+		requireSameBuckets(t, got, want, res.String())
 	}
-	s1, s2 := byKey.Stats(), byHandle.Stats()
-	if s1 != s2 {
+	if s1, s2 := byKey.Stats(), byHandle.Stats(); s1 != s2 {
 		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
 	}
 }
@@ -428,18 +372,21 @@ func TestAppenderRejectsOutOfOrderAndNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.Appender("k")
-	if err := a.Append(-time.Second, 1); err == nil {
-		t.Error("negative timestamp accepted")
-	}
-	if err := a.Append(time.Minute, 1); err != nil {
+	a, err := s.Frames([]string{"k"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(time.Second, 1); err == nil {
+	if err := a.Append(-time.Second, []float64{1}); err == nil {
+		t.Error("negative timestamp accepted")
+	}
+	if err := a.Append(time.Minute, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(time.Second, []float64{1}); err == nil {
 		t.Error("out-of-order sample accepted through handle")
 	}
-	// The same-key by-key path shares the series and sees the regression
-	// too.
+	// Store.Append on the same key shares the handle's frame and sees
+	// the regression too.
 	if err := s.Append("k", time.Second, 1); err == nil {
 		t.Error("out-of-order sample accepted through store after handle append")
 	}
@@ -448,14 +395,13 @@ func TestAppenderRejectsOutOfOrderAndNegative(t *testing.T) {
 func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	interval := time.Second
 	const window = 512
-	s, err := NewStore(Config{RawInterval: interval, RawRetention: window * interval, Shards: 1})
+	s, err := NewStore(Config{RawInterval: interval, RawRetention: window * interval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.Appender("k")
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if err := a.Append(time.Duration(i)*interval, float64(i)); err != nil {
+		if err := s.Append("k", time.Duration(i)*interval, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,9 +416,9 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	}
 	// The backing ring is sized once to the window at RawInterval and
 	// never grows with total appends.
-	ser := s.shardFor("k").series["k"]
-	if got := len(ser.points); got != window+1 {
-		t.Fatalf("backing ring holds %d points for a %d-point window", got, window+1)
+	w := s.frames["k"].w
+	if got := len(w.rawT); got != window+1 || len(w.rawV) != window+1 {
+		t.Fatalf("backing ring holds %d rounds (%d values) for a %d-point window", got, len(w.rawV), window+1)
 	}
 	// And the retained view matches what Query sees.
 	bs, err := s.Query("k", 0, 1<<62, ResRaw)
@@ -484,5 +430,35 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	}
 	if bs[0].Start != time.Duration(n-window-1)*interval {
 		t.Fatalf("oldest retained point at %v", bs[0].Start)
+	}
+}
+
+// TestPlainSeriesAllocations pins what one series costs: a key's first
+// Store.Append allocates its one-column frame as one block plus one raw
+// band (and, now and then, a registry map growth), and later appends
+// allocate nothing.
+func TestPlainSeriesAllocations(t *testing.T) {
+	s := mustStore(t, DefaultConfig())
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = fmt.Sprintf("srv%04d/cpu", i)
+	}
+	i := 0
+	first := testing.AllocsPerRun(len(names)-1, func() {
+		if err := s.Append(names[i], 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if first > 2.1 {
+		t.Errorf("first append of a key: %.2f allocs, want 2 plus amortized map growth", first)
+	}
+	next := testing.AllocsPerRun(100, func() {
+		if err := s.Append(names[0], 15*time.Second, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if next != 0 {
+		t.Errorf("append to an existing key: %.2f allocs, want 0", next)
 	}
 }
